@@ -2,7 +2,32 @@
 
 #include <algorithm>
 
+#include "util/strings.h"
+
 namespace mframe::core {
+
+bool fitsNoStep(const dfg::Dfg& g, const sched::Constraints& c, dfg::NodeId n) {
+  return c.allowChaining && g.cyclesOf(n) == 1 && g.delayOf(n) > c.clockNs;
+}
+
+std::optional<std::string> unschedulableReason(const dfg::Dfg& g,
+                                               const sched::Constraints& c) {
+  for (const auto& [type, limit] : c.fuLimit) {
+    const std::size_t uses = g.countOfType(type);
+    if (limit < 1 && uses > 0) {
+      const std::string name(dfg::fuTypeName(type));
+      return util::format("%s budget %d leaves no unit for %zu %s operation(s)",
+                          name.c_str(), limit, uses, name.c_str());
+    }
+  }
+  if (!c.allowChaining) return std::nullopt;  // every op fits; skip the scan
+  for (dfg::NodeId id = 0; id < g.size(); ++id)
+    if (dfg::isSchedulable(g.kindOf(id)) && fitsNoStep(g, c, id))
+      return util::format(
+          "'%s' fits no control step: its %g ns delay exceeds the %g ns clock",
+          g.node(id).name.c_str(), g.delayOf(id), c.clockNs);
+  return std::nullopt;
+}
 
 FrameCalculator::DepCheck FrameCalculator::depOk(const sched::Schedule& s,
                                                  dfg::NodeId n, int step) const {
@@ -48,10 +73,9 @@ FrameCalculator::DepWindow FrameCalculator::depWindow(const sched::Schedule& s,
         w.boundaryOff = std::max(w.boundaryOff, chainOffsetOf(p));
     }
   }
-  const bool chainable = c_->allowChaining && cycles == 1;
   // Above the boundary no pred constrains the start; only an op whose own
   // delay never fits the clock stays infeasible.
-  w.aboveOk = !chainable || g_->delayOf(n) <= c_->clockNs;
+  w.aboveOk = !fitsNoStep(*g_, *c_, n);
   if (w.boundaryStep == 0) {
     // No placed predecessor: there is no boundary case, every step behaves
     // like the "above" zone.

@@ -9,6 +9,8 @@
 // delay still fits the clock period.
 #pragma once
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/grid.h"
@@ -16,6 +18,19 @@
 #include "sched/timeframes.h"
 
 namespace mframe::core {
+
+/// Under chaining a single-cycle operation must finish inside the step it
+/// starts in, so one whose own delay exceeds the clock period fits no
+/// control step: FrameCalculator::depOk refuses it at every step.
+bool fitsNoStep(const dfg::Dfg& g, const sched::Constraints& c, dfg::NodeId n);
+
+/// Why no schedule of `g` under `c` exists at any length, or nullopt: an FU
+/// type the graph uses with a budget below one unit, or an operation that
+/// fits no control step. MFS and MFSA check this once before their search,
+/// which otherwise finds it only after exhausting its restart budget or its
+/// schedule-length cap.
+std::optional<std::string> unschedulableReason(const dfg::Dfg& g,
+                                               const sched::Constraints& c);
 
 class FrameCalculator {
  public:

@@ -121,6 +121,12 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
     res.error = "time-constrained MFS needs constraints.timeSteps > 0";
     return res;
   }
+  // No schedule length or column budget can fix these inputs, so fail
+  // before the search instead of walking cs up to maxStepsCap.
+  if (auto why = unschedulableReason(g, c)) {
+    res.error = *why;
+    return res;
+  }
 
   for (; cs <= opt.maxStepsCap; ++cs) {
     c.timeSteps = cs;
@@ -143,9 +149,10 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
       }
       if (timeMode) {
         const auto nOps = static_cast<int>(g.countOfType(ft));
-        types[t].current = std::clamp(
-            static_cast<int>(std::ceil(static_cast<double>(nOps) / cs)), 1,
-            types[t].maxCols);
+        const int balanced =
+            static_cast<int>(std::ceil(static_cast<double>(nOps) / cs));
+        // Not std::clamp: a type the graph does not use may have a 0 budget.
+        types[t].current = std::min(std::max(balanced, 1), types[t].maxCols);
       } else {
         // Resource mode: all allowed units are immediately usable; the
         // redundant frame is empty and V = cs*x + y discourages new columns.

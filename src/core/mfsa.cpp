@@ -84,6 +84,10 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
     res.error = tfError;
     return res;
   }
+  if (auto why = unschedulableReason(g, c)) {
+    res.error = *why;
+    return res;
+  }
   const int cs = c.timeSteps;
 
   // Worst per-operation interconnect contribution: the mux table's largest
@@ -133,9 +137,10 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
       maxCols[t] = std::max(1, tf->upperBound(ft));
     }
     const auto nOps = static_cast<int>(g.countOfType(ft));
-    current[t] = std::clamp(
-        static_cast<int>(std::ceil(static_cast<double>(nOps) / cs)), 1,
-        maxCols[t]);
+    const int balanced =
+        static_cast<int>(std::ceil(static_cast<double>(nOps) / cs));
+    // Not std::clamp: a type the graph does not use may have a 0 budget.
+    current[t] = std::min(std::max(balanced, 1), maxCols[t]);
   }
 
   const int maxRestarts =

@@ -5,8 +5,17 @@
 
 #include "dfg/builder.h"
 #include "sched/schedule.h"
+#include "trace/trace.h"
 
 namespace mframe::test {
+
+/// Counters are off by default (bump() is a no-op); flip them on for a
+/// test's counter assertions and restore the previous state on exit.
+struct CounterScope {
+  bool prev = trace::countersEnabled();
+  CounterScope() { trace::enableCounters(true); }
+  ~CounterScope() { trace::enableCounters(prev); }
+};
 
 /// a+b -> s; c-d -> t; s*t -> y; y<lim -> f. Critical path 3.
 inline dfg::Dfg smallDiamond() {

@@ -142,6 +142,14 @@ struct MutexCase {
   bool exclusive;
 };
 
+// Names each case by its paths. gtest's default dump of the struct shows the
+// string addresses, so the case names would change from one build to the next.
+void PrintTo(const MutexCase& c, std::ostream* os) {
+  const auto path = [](const char* p) { return *p ? p : "unconditional"; };
+  *os << path(c.a) << " vs " << path(c.b)
+      << (c.exclusive ? " exclusive" : " not exclusive");
+}
+
 class BranchPathTest : public ::testing::TestWithParam<MutexCase> {};
 
 TEST_P(BranchPathTest, PathsMutuallyExclusive) {

@@ -167,5 +167,50 @@ TEST(Frames, ResetClearsChainState) {
   EXPECT_DOUBLE_EQ(fc.chainOffsetOf(g.findByName("c1")), 0.0);
 }
 
+TEST(Frames, FitsNoStepWhenTheOpOutlastsTheChainedClock) {
+  const dfg::Dfg g = test::smallDiamond();  // y = s * t: a 160 ns multiply
+  sched::Constraints c;
+  c.allowChaining = true;
+  c.clockNs = 50.0;
+  const NodeId y = g.findByName("y");
+  EXPECT_TRUE(fitsNoStep(g, c, y));
+  EXPECT_FALSE(fitsNoStep(g, c, g.findByName("s")));  // a 40 ns add fits
+
+  // depOk and the dependency window apply the same rule step by step.
+  const auto tf = *computeTimeFrames(g, c);
+  FrameCalculator fc(g, c, tf);
+  sched::Schedule s(g);
+  for (int step = 1; step <= tf.criticalSteps(); ++step)
+    EXPECT_FALSE(fc.depOk(s, y, step).ok) << step;
+  EXPECT_FALSE(fc.depWindow(s, y).aboveOk);
+
+  // Without chaining an op simply takes whole steps.
+  c.allowChaining = false;
+  EXPECT_FALSE(fitsNoStep(g, c, y));
+}
+
+TEST(Frames, UnschedulableReasonNamesTheBlocker) {
+  const dfg::Dfg g = test::smallDiamond();
+  sched::Constraints c;
+  EXPECT_FALSE(unschedulableReason(g, c).has_value());
+
+  c.fuLimit[dfg::FuType::Divider] = 0;  // a type the graph does not use
+  EXPECT_FALSE(unschedulableReason(g, c).has_value());
+
+  c.fuLimit[dfg::FuType::Multiplier] = 0;
+  auto why = unschedulableReason(g, c);
+  ASSERT_TRUE(why.has_value());
+  EXPECT_NE(why->find("multiplier budget 0"), std::string::npos) << *why;
+
+  c.fuLimit[dfg::FuType::Multiplier] = 1;
+  c.allowChaining = true;
+  c.clockNs = 50.0;
+  why = unschedulableReason(g, c);
+  ASSERT_TRUE(why.has_value());
+  EXPECT_NE(why->find("'y'"), std::string::npos) << *why;
+  EXPECT_NE(why->find("160 ns"), std::string::npos) << *why;
+  EXPECT_NE(why->find("50 ns clock"), std::string::npos) << *why;
+}
+
 }  // namespace
 }  // namespace mframe::core

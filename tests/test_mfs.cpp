@@ -5,6 +5,7 @@
 #include "dfg/builder.h"
 #include "helpers.h"
 #include "sched/verify.h"
+#include "trace/trace.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::core {
@@ -101,6 +102,69 @@ TEST(Mfs, InfeasibleUnderHardResourceBound) {
   o.constraints.fuLimit[FuType::Adder] = 1;
   const auto r = runMfs(test::addParallel(3), o);
   EXPECT_FALSE(r.feasible);
+}
+
+constexpr MfsLiapunov::Mode kBothModes[] = {
+    MfsLiapunov::Mode::TimeConstrained, MfsLiapunov::Mode::ResourceConstrained};
+
+MfsOptions optionsFor(MfsLiapunov::Mode mode) {
+  MfsOptions o;
+  o.mode = mode;
+  if (mode == MfsLiapunov::Mode::TimeConstrained) o.constraints.timeSteps = 6;
+  return o;
+}
+
+TEST(Mfs, UnschedulableChainedOpIsRejectedUpFront) {
+  // Under chaining at a 50 ns clock, diffeq's 160 ns multiplies fit no
+  // control step, so neither restarts nor a longer cs can help: the run
+  // must fail before evaluating a single cell.
+  const dfg::Dfg g = workloads::diffeq();
+  dfg::NodeId firstMul = dfg::kNoNode;
+  for (dfg::NodeId id : g.operations())
+    if (g.kindOf(id) == dfg::OpKind::Mul && firstMul == dfg::kNoNode)
+      firstMul = id;
+  ASSERT_NE(firstMul, dfg::kNoNode);
+  const test::CounterScope counters;
+  for (const auto mode : kBothModes) {
+    MfsOptions o = optionsFor(mode);
+    o.constraints.allowChaining = true;
+    o.constraints.clockNs = 50.0;
+    const auto before = trace::counterValue(trace::Counter::LiapunovCellEvals);
+    const auto r = runMfs(g, o);
+    EXPECT_FALSE(r.feasible);
+    EXPECT_EQ(r.restarts, 0);
+    EXPECT_NE(r.error.find("'" + g.node(firstMul).name + "'"), std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find("160 ns"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("50 ns clock"), std::string::npos) << r.error;
+    EXPECT_EQ(trace::counterValue(trace::Counter::LiapunovCellEvals), before);
+  }
+}
+
+TEST(Mfs, UnschedulableZeroBudgetIsRejectedUpFront) {
+  const dfg::Dfg g = workloads::diffeq();
+  const test::CounterScope counters;
+  for (const auto mode : kBothModes) {
+    for (const int limit : {0, -1}) {
+      MfsOptions o = optionsFor(mode);
+      o.constraints.fuLimit[FuType::Multiplier] = limit;
+      const auto before =
+          trace::counterValue(trace::Counter::LiapunovCellEvals);
+      const auto r = runMfs(g, o);
+      EXPECT_FALSE(r.feasible);
+      EXPECT_EQ(r.restarts, 0);
+      EXPECT_NE(r.error.find("multiplier budget " + std::to_string(limit)),
+                std::string::npos)
+          << r.error;
+      EXPECT_EQ(trace::counterValue(trace::Counter::LiapunovCellEvals), before);
+    }
+    // A zero budget for a type the graph does not use stays legal.
+    MfsOptions o = optionsFor(mode);
+    o.constraints.fuLimit[FuType::Divider] = 0;
+    const auto r = runMfs(g, o);
+    ASSERT_TRUE(r.feasible) << r.error;
+    EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  }
 }
 
 TEST(Mfs, ResourceModeMinimizesStepsUnderLimits) {

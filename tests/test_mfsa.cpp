@@ -9,6 +9,7 @@
 #include "rtl/controller.h"
 #include "rtl/verify.h"
 #include "sched/verify.h"
+#include "trace/trace.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::core {
@@ -262,6 +263,44 @@ TEST(Mfsa, ResourceConstrainedRespectsSearchCap) {
   // Cap below the first feasible length: the search must give up cleanly.
   const auto r = runMfsaResourceConstrained(workloads::diffeq(), lib, o, 5);
   EXPECT_FALSE(r.feasible);
+}
+
+TEST(Mfsa, UnschedulableChainedOpSpendsNoRestarts) {
+  // Chaining at a 50 ns clock: no control step holds a 160 ns multiply, so
+  // no local-rescheduling restart can help.
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  MfsaOptions o;
+  o.constraints.timeSteps = 6;
+  o.constraints.allowChaining = true;
+  o.constraints.clockNs = 50.0;
+  const test::CounterScope counters;
+  const auto before = trace::counterValue(trace::Counter::MfsaRestarts);
+  const auto r = runMfsa(workloads::diffeq(), lib, o);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_NE(r.error.find("fits no control step"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(trace::counterValue(trace::Counter::MfsaRestarts), before);
+}
+
+TEST(Mfsa, UnschedulableZeroBudgetStopsTheLengthSearch) {
+  // A zero multiplier budget holds at every length: one runMfsa call must
+  // settle it instead of one per cs up to the cap.
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  MfsaOptions o;
+  o.constraints.fuLimit[dfg::FuType::Multiplier] = 0;
+  const test::CounterScope counters;
+  const auto before = trace::counterValue(trace::Counter::MfsaRuns);
+  const auto r = runMfsaResourceConstrained(workloads::diffeq(), lib, o);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_NE(r.error.find("multiplier budget 0"), std::string::npos) << r.error;
+  EXPECT_EQ(trace::counterValue(trace::Counter::MfsaRuns) - before, 1u);
+
+  // A zero budget for a type the graph does not use stays legal.
+  MfsaOptions unused;
+  unused.constraints.timeSteps = 4;
+  unused.constraints.fuLimit[dfg::FuType::Divider] = 0;
+  const auto ok = runMfsa(workloads::diffeq(), lib, unused);
+  EXPECT_TRUE(ok.feasible) << ok.error;
 }
 
 TEST(Mfsa, TieBreakPrefersReusingAnAluOverAllocatingFresh) {

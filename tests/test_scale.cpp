@@ -15,6 +15,7 @@
 #include "dfg/builder.h"
 #include "dfg/transforms.h"
 #include "explore/explore.h"
+#include "helpers.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
 #include "util/strings.h"
@@ -64,13 +65,7 @@ struct DepthDomain {
 
 std::uint64_t counter(trace::Counter c) { return trace::counterValue(c); }
 
-/// Counters are off by default (bump() is a no-op); flip them on for the
-/// linearity assertions and restore the previous state on exit.
-struct CounterScope {
-  bool prev = trace::countersEnabled();
-  CounterScope() { trace::enableCounters(true); }
-  ~CounterScope() { trace::enableCounters(prev); }
-};
+using test::CounterScope;
 
 // ---------------------------------------------------------------------------
 // Deep chain: 10^5 ops. Building, topoOrder, timeframes, cone extraction and

@@ -17,6 +17,7 @@
 #include "core/mfs.h"
 #include "dfg/parser.h"
 #include "dfg/transforms.h"
+#include "helpers.h"
 #include "rtl/datapath.h"
 #include "sched/slack.h"
 #include "sched/stitch.h"
@@ -293,6 +294,19 @@ TuneResult tuneForGolden(const dfg::Dfg& g) {
 
 std::string tuneGoldenPath(const std::string& name) {
   return std::string(MFRAME_TESTS_DIR) + "/golden/tune_" + name + ".json";
+}
+
+TEST(Tune, FdctUnschedulableCandidateIsRefusedUpFront) {
+  // Candidate 1 pads the cone's delays by 25%, which lifts a multiply past
+  // the derated clock in every iteration. MFS must refuse that candidate
+  // without searching schedule lengths (a walk to the 4096-step cap costs
+  // about 3.4e8 cell evaluations here).
+  const test::CounterScope counters;
+  const auto before = trace::counterValue(trace::Counter::LiapunovCellEvals);
+  const TuneResult r = tuneForGolden(workloads::fdctLike());
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_LE(trace::counterValue(trace::Counter::LiapunovCellEvals) - before,
+            10000u);
 }
 
 TEST(TuneGolden, JsonIsDeterministic) {

@@ -56,15 +56,19 @@ cmake --build "$repo/build-ci-tsan" -j "$jobs" --target mframe
 # constant folder lean on checked arithmetic (__builtin_*_overflow plus
 # explicit shift guards), and UBSan alone — without ASan redzones slowing
 # everything down — is the cheapest way to prove every wrap really is
-# checked. Run the interval/dataflow and range suites, where all of that
-# arithmetic lives.
-echo "==== configure build-ci-ubsan (-DMFRAME_SANITIZE=undefined)"
-cmake -B "$repo/build-ci-ubsan" -S "$repo" -DMFRAME_SANITIZE=undefined
+# checked. The same tree enables libstdc++'s precondition assertions, which
+# abort on standard-library misuse such as a std::clamp whose bounds cross
+# (the schedulers' column budgets under a zero FU limit). Run the
+# interval/dataflow and range suites, where all of that arithmetic lives,
+# and the schedulers' up-front infeasibility tests.
+echo "==== configure build-ci-ubsan (-DMFRAME_SANITIZE=undefined -D_GLIBCXX_ASSERTIONS)"
+cmake -B "$repo/build-ci-ubsan" -S "$repo" -DMFRAME_SANITIZE=undefined \
+  -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 echo "==== build build-ci-ubsan (mframe_tests)"
 cmake --build "$repo/build-ci-ubsan" -j "$jobs" --target mframe_tests
-echo "==== interval, dataflow and range arithmetic under UBSan"
+echo "==== interval, dataflow, range and infeasibility checks under UBSan"
 "$repo/build-ci-ubsan/tests/mframe_tests" \
-  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:Bind*' \
+  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:Bind*:*Unschedulable*' \
   --gtest_brief=1
 
 # Scale smoke in the plain tree: a 100k-op random DFG through the full

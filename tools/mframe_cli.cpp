@@ -67,6 +67,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -162,6 +163,25 @@ constexpr const char* kUsage =
 [[noreturn]] void dieUsage(const std::string& msg) {
   std::fprintf(stderr, "mframe: %s\n%s", msg.c_str(), kUsage);
   std::exit(2);
+}
+
+/// `token` as an int no smaller than `lo` (0 or 1); a malformed, negative
+/// or overflowing value is a usage error naming `what` and the token.
+int intArg(const std::string& what, const std::string& token, int lo) {
+  const long v = util::parseLong(token);
+  if (v < lo || v > std::numeric_limits<int>::max())
+    dieUsage(util::format("%s needs a %s integer, got '%s'", what.c_str(),
+                          lo > 0 ? "positive" : "non-negative", token.c_str()));
+  return static_cast<int>(v);
+}
+
+/// `token` as a finite double; anything else is a usage error.
+double doubleArg(const std::string& what, const std::string& token) {
+  double v = 0.0;
+  if (!util::parseDouble(token, v))
+    dieUsage(util::format("%s needs a number, got '%s'", what.c_str(),
+                          token.c_str()));
+  return v;
 }
 
 struct Cli {
@@ -263,14 +283,14 @@ Cli parseArgs(int argc, char** argv) {
       return argv[i];
     };
     if (a == "--steps") {
-      c.steps = static_cast<int>(util::parseLong(next()));
+      c.steps = intArg(a, next(), 0);
     } else if (a == "--resource") {
       for (const auto& part : util::split(next(), ',')) {
         const auto kv = util::split(part, '=');
         dfg::FuType t;
         if (kv.size() != 2 || !dfg::parseFuType(kv[0], t))
           die("bad --resource entry '" + part + "'");
-        c.constraints.fuLimit[t] = static_cast<int>(util::parseLong(kv[1]));
+        c.constraints.fuLimit[t] = intArg("--resource " + kv[0], kv[1], 0);
       }
     } else if (a == "--mode") {
       const std::string m = next();
@@ -280,10 +300,13 @@ Cli parseArgs(int argc, char** argv) {
     } else if (a == "--chaining") {
       c.constraints.allowChaining = true;
     } else if (a == "--clock") {
-      c.constraints.clockNs = std::strtod(next().c_str(), nullptr);
+      const std::string token = next();
+      c.constraints.clockNs = doubleArg(a, token);
+      if (c.constraints.clockNs <= 0.0)
+        dieUsage("--clock needs a positive period in ns, got '" + token + "'");
       c.clockSet = true;
     } else if (a == "--latency") {
-      c.constraints.latency = static_cast<int>(util::parseLong(next()));
+      c.constraints.latency = intArg(a, next(), 0);
     } else if (a == "--pipelined-mults") {
       c.constraints.pipelinedFus.insert(dfg::FuType::Multiplier);
     } else if (a == "--priority") {
@@ -300,10 +323,10 @@ Cli parseArgs(int argc, char** argv) {
     } else if (a == "--weights") {
       const auto w = util::split(next(), ',');
       if (w.size() != 4) die("--weights needs T,A,M,R");
-      c.weights.time = std::strtod(w[0].c_str(), nullptr);
-      c.weights.alu = std::strtod(w[1].c_str(), nullptr);
-      c.weights.mux = std::strtod(w[2].c_str(), nullptr);
-      c.weights.reg = std::strtod(w[3].c_str(), nullptr);
+      c.weights.time = doubleArg(a, w[0]);
+      c.weights.alu = doubleArg(a, w[1]);
+      c.weights.mux = doubleArg(a, w[2]);
+      c.weights.reg = doubleArg(a, w[3]);
     } else if (a == "--verilog") {
       c.emitVerilog = true;
     } else if (a == "--controller") {
@@ -348,14 +371,11 @@ Cli parseArgs(int argc, char** argv) {
     } else if (a == "--schedule") {
       c.schedulePath = next();
     } else if (a == "--jobs") {
-      c.jobs = static_cast<int>(util::parseLong(next()));
-      if (c.jobs < 1) die("--jobs needs a positive thread count");
+      c.jobs = intArg(a, next(), 1);
     } else if (a == "--budget") {
-      c.budget = static_cast<int>(util::parseLong(next()));
-      if (c.budget < 1) die("--budget needs a positive iteration count");
+      c.budget = intArg(a, next(), 1);
     } else if (a == "--hops") {
-      c.hops = static_cast<int>(util::parseLong(next()));
-      if (c.hops < 1) die("--hops needs a positive cone radius");
+      c.hops = intArg(a, next(), 1);
     } else if (a == "--prove") {
       c.doProve = true;
     } else if (a == "--audit") {
@@ -397,8 +417,11 @@ Cli parseArgs(int argc, char** argv) {
       for (const auto& part : util::split(next(), ',')) {
         const auto kv = util::split(part, '=');
         if (kv.size() != 2) die("bad --sim entry '" + part + "'");
-        c.simInputs[kv[0]] =
-            static_cast<sim::Word>(util::parseLong(kv[1]));
+        const long v = util::parseLong(kv[1]);
+        if (v < 0)
+          dieUsage("--sim " + kv[0] + " needs a non-negative integer, got '" +
+                   kv[1] + "'");
+        c.simInputs[kv[0]] = static_cast<sim::Word>(v);
       }
     } else {
       dieUsage("unknown option '" + a + "'");
@@ -489,9 +512,8 @@ dfg::Dfg makeRandomDesign(const std::string& spec) {
     if (eq == std::string::npos)
       die("random: option '" + parts[i] + "' is not key=value");
     const std::string key = parts[i].substr(0, eq);
-    const int val = std::atoi(parts[i].c_str() + eq + 1);
-    if (val <= 0 && key != "mul" && key != "twocycle")
-      die("random: option '" + parts[i] + "' needs a positive value");
+    const int val = intArg("random: option " + key, parts[i].substr(eq + 1),
+                           key == "mul" || key == "twocycle" ? 0 : 1);
     if (key == "ops") o.numOps = val;
     else if (key == "seed") o.seed = static_cast<std::uint32_t>(val);
     else if (key == "width") o.layerWidth = val;
