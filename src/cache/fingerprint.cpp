@@ -200,10 +200,9 @@ Digest mfsaEnvDigest(const core::MfsaOptions& opt,
 }
 
 // traceLiapunov is deliberately absent from the env digests and texts: it
-// only decides
-// whether the in-memory trace vector is recorded and never changes the
-// synthesized result, so caching across it is sound (a replayed result
-// simply carries an empty trace).
+// only decides whether the in-memory trace vector is recorded and never
+// changes the synthesized result, so caching across it is sound (a replayed
+// result simply carries an empty trace).
 std::string mfsEnvText(const core::MfsOptions& opt) {
   std::string out = "mfs ";
   out += opt.mode == core::MfsLiapunov::Mode::TimeConstrained
@@ -220,9 +219,6 @@ std::string mfsEnvText(const core::MfsOptions& opt) {
 
 std::string mfsaEnvText(const core::MfsaOptions& opt,
                         const celllib::CellLibrary& lib) {
-  // incrementalMux is absent for the same reason as traceLiapunov: the
-  // delta arrangement is exact, so both settings synthesize bit-identical
-  // designs (the switch exists only for differential testing).
   std::string out = "mfsa ";
   out += constraintsText(opt.constraints);
   out += util::format(

@@ -13,34 +13,24 @@
 //   f = w_T*f_TIME + w_A*f_ALU + w_M*f_MUX + w_R*f_REG,
 // updated at each iteration from the partially built design; the terms are
 // produced by the MFSA engine and combined here.
+//
+// Both schedulers search a move frame by walking its dependency window
+// (FrameCalculator::depWindow) rather than enumerating every cell. For MFS
+// the walk finds the minimum directly: in time mode every cell of step t is
+// cheaper than any of step t+1, so the earliest step with a free column
+// wins, lowest column first; in resource mode every cell of column x is
+// cheaper than any of column x+1, so the lowest column with a feasible step
+// wins, earliest step first. MFSA's f never falls with the step for a fixed
+// ALU and module under mux interconnect with non-negative weights and costs,
+// so there only each candidate's earliest feasible step competes; otherwise
+// every feasible step of the window does.
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
 
 #include "celllib/cell_library.h"
 
 namespace mframe::core {
-
-/// How the schedulers search a move frame for its minimum-energy cell.
-///
-/// Exhaustive enumerates every legal (step, column) cell — the paper's
-/// formulation, O(steps x columns) candidate evaluations per operation.
-/// Frontier exploits the energy functions' monotonicity in the step axis
-/// (MFS: V strictly increases with the step for any fixed column, and ties
-/// across distinct cells are impossible within the table bounds; MFSA: for a
-/// fixed ALU and module, f_TIME grows with the step, f_REG is non-decreasing
-/// and f_ALU/f_MUX are step-independent under mux interconnect and
-/// non-negative weights) to visit only each column's earliest feasible step
-/// — the provable argmin — so results stay bit-identical at a fraction of
-/// the probes. Auto keeps small graphs on Exhaustive (preserving the legacy
-/// candidate/cell counters on the paper benchmarks) and switches to Frontier
-/// at kFrontierAutoThreshold nodes; MFSA configurations outside the proof
-/// (bus interconnect, negative weights) always run Exhaustive.
-enum class MoveFrameMode { Auto, Exhaustive, Frontier };
-
-/// Node count at which MoveFrameMode::Auto flips to the frontier search.
-inline constexpr std::size_t kFrontierAutoThreshold = 2048;
 
 /// The static MFS energy function.
 class MfsLiapunov {

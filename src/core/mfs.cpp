@@ -92,10 +92,6 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
   // One graph snapshot per run, shared by every placement attempt — a fresh
   // Schedule(g) per attempt deep-copied the whole graph on each restart.
   const auto snap = std::make_shared<const dfg::Dfg>(g);
-  const bool frontier =
-      opt.frameMode == MoveFrameMode::Frontier ||
-      (opt.frameMode == MoveFrameMode::Auto &&
-       g.size() >= kFrontierAutoThreshold);
 
   const bool timeMode = opt.mode == MfsLiapunov::Mode::TimeConstrained;
   sched::Constraints c = opt.constraints;
@@ -210,63 +206,34 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
         const auto& occ = grid.table(static_cast<FuType>(t));
         const int colHi = std::min(types[t].current, types[t].maxCols);
 
-        // Minimum-energy cell of the move frame. Ties break toward the
-        // earlier step, then the lower column — the first-wins order of the
-        // exhaustive step-major scan, stated explicitly so the frontier
-        // paths share the exact same selection rule.
-        bool found = false;
-        double bestV = 0.0;
+        // Minimum-energy cell of the move frame; step 0 when it is empty.
+        // Both walks visit the frame's cells in increasing energy (see
+        // core/liapunov.h), so the first free cell is the minimum.
         int bestStep = 0, bestCol = 0;
-        auto consider = [&](int step, int col) {
-          const double cv = energy.value(col, step);
-          if (!found || cv < bestV ||
-              (cv == bestV &&
-               (step < bestStep || (step == bestStep && col < bestCol)))) {
-            found = true;
-            bestV = cv;
-            bestStep = step;
-            bestCol = col;
-          }
+        const auto w = fc.depWindow(s, id);
+        const int lo = tf->asap(id), hi = tf->alap(id);
+        auto take = [&](int step, int col) {
+          trace::bump(trace::Counter::LiapunovCellEvals);
+          if (!occ.canPlace(id, col, step)) return false;
+          bestStep = step;
+          bestCol = col;
+          return true;
         };
-
-        if (!frontier) {
-          const auto frames =
-              fc.compute(s, occ, id, types[t].current, types[t].maxCols);
-          trace::bump(trace::Counter::LiapunovCellEvals,
-                      frames.moveFrame.size());
-          for (const auto& cell : frames.moveFrame)
-            consider(cell.step, cell.column);
-        } else if (timeMode) {
-          // V = x + n*y strictly increases with the step for any column in
-          // bounds, so the earliest dependency- and occupancy-feasible step
-          // dominates every later one; within it, the lowest free column.
-          const auto w = fc.depWindow(s, id);
-          for (int step = w.firstStep(tf->asap(id), tf->alap(id));
-               step != 0 && !found; step = w.nextStep(step, tf->alap(id)))
-            for (int col = 1; col <= colHi; ++col) {
-              trace::bump(trace::Counter::LiapunovCellEvals);
-              if (occ.canPlace(id, col, step)) {
-                consider(step, col);
-                break;
-              }
-            }
+        if (timeMode) {
+          // V = x + n*y: earliest step first, then the lowest column.
+          for (int step = w.firstStep(lo, hi); step != 0 && bestStep == 0;
+               step = w.nextStep(step, hi))
+            for (int col = 1; col <= colHi; ++col)
+              if (take(step, col)) break;
         } else {
-          // V = cs*x + y strictly increases with the column for any step in
-          // bounds, so the lowest column holding any feasible step
-          // dominates; within it, the earliest such step.
-          const auto w = fc.depWindow(s, id);
-          for (int col = 1; col <= colHi && !found; ++col)
-            for (int step = w.firstStep(tf->asap(id), tf->alap(id));
-                 step != 0; step = w.nextStep(step, tf->alap(id))) {
-              trace::bump(trace::Counter::LiapunovCellEvals);
-              if (occ.canPlace(id, col, step)) {
-                consider(step, col);
-                break;
-              }
-            }
+          // V = cs*x + y: lowest column first, then the earliest step.
+          for (int col = 1; col <= colHi && bestStep == 0; ++col)
+            for (int step = w.firstStep(lo, hi); step != 0;
+                 step = w.nextStep(step, hi))
+              if (take(step, col)) break;
         }
 
-        if (!found) {
+        if (bestStep == 0) {
           // Empty/occupied move frame: widen current_j and locally
           // reschedule (Section 3.2 step 4).
           if (types[t].current < types[t].maxCols) {
@@ -300,7 +267,8 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
         s.place(id, bestStep, bestCol);
         fc.recordPlacement(s, id, bestStep);
         trace::bump(trace::Counter::LiapunovUpdates);
-        v -= worstOf[id] - bestV;  // each move strictly decreases the energy
+        // Each move strictly decreases the energy.
+        v -= worstOf[id] - energy.value(bestCol, bestStep);
         if (opt.traceLiapunov) res.liapunovTrace.push_back(v);
       }
       if (restart) continue;

@@ -1,6 +1,9 @@
 // Move Frame Scheduling (Section 3): a fast balanced scheduler under a time
 // constraint, or a latency minimizer under resource constraints, driven by
-// the static Liapunov function over the 2-D placement tables.
+// the static Liapunov function over the 2-D placement tables. Each op goes
+// to the minimum-energy cell of its move frame, found by walking the
+// dependency window in energy order (see core/liapunov.h) rather than by
+// enumerating the frame.
 //
 // Supports every Section-5 scheduling feature through sched::Constraints:
 // mutually exclusive (conditional) operations, multicycle operations,
@@ -27,10 +30,6 @@ struct MfsOptions {
   MfsLiapunov::Mode mode = MfsLiapunov::Mode::TimeConstrained;
 
   sched::PriorityRule priorityRule = sched::PriorityRule::Mobility;
-
-  /// Move-frame search strategy; Auto = Exhaustive on small graphs,
-  /// Frontier (same result, far fewer probes) on large ones.
-  MoveFrameMode frameMode = MoveFrameMode::Auto;
 
   /// Operations to place first, ahead of the computed priority order (the
   /// tune loop seeds this with its criticality ranking so the critical cone

@@ -31,10 +31,6 @@ struct AluState {
   std::vector<NodeId> ops;
   alloc::MuxArrangement arrangement;
   double muxCost = 0.0;
-  /// Memoized f_MUX of try-adding an op to this ALU (the mux delta is
-  /// step-independent, so one value serves every candidate step).
-  /// Invalidated whenever an op commits to this ALU.
-  std::map<NodeId, double> muxDeltaMemo;
 };
 
 /// Cheapest library module covering `caps` with the given stage count;
@@ -109,17 +105,16 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
   // One graph snapshot shared by every restart's Schedule — deep-copying a
   // large graph per local-rescheduling round dominated big runs.
   const auto snap = std::make_shared<const dfg::Dfg>(g);
-  // Frontier search is exact only where the per-(ALU, module) contribution
-  // is non-decreasing in the step: f_MUX/f_ALU step-independent (mux
-  // interconnect), f_TIME and f_REG non-decreasing (non-negative weights
-  // and costs). Anything else keeps the exhaustive scan.
-  const bool frontier =
-      (opt.frameMode == MoveFrameMode::Frontier ||
-       (opt.frameMode == MoveFrameMode::Auto &&
-        g.size() >= kFrontierAutoThreshold)) &&
+  // For a fixed (ALU, module) the contribution is non-decreasing in the
+  // step when f_MUX and f_ALU are step-independent (mux interconnect) and
+  // f_TIME and f_REG cannot fall (non-negative weights and costs). Then the
+  // earliest feasible step dominates the later ones; otherwise every
+  // feasible step is a candidate.
+  const bool monotone =
       opt.interconnect == InterconnectStyle::Mux && opt.weights.time >= 0.0 &&
       opt.weights.alu >= 0.0 && opt.weights.mux >= 0.0 &&
       opt.weights.reg >= 0.0 && C >= 0.0 && lib.regCost() >= 0.0;
+  const bool greedy = monotone && g.size() >= kMfsaGreedyThreshold;
 
   // Steps 2-3 of MFS, shared by MFSA: per-type column budgets. current_j
   // starts at the balanced minimum ceil(N_j / cs) and grows only when a move
@@ -230,14 +225,9 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
       };
 
       // f_MUX of a fresh ALU is the same for every capable module: the
-      // arrangement of {id} alone — one signal per populated port. Frontier
-      // mode prices it arithmetically; exhaustive mode keeps the literal
-      // single-op arrangement (and its mux.fullArrangements bump).
-      const double freshMux =
-          opt.interconnect != InterconnectStyle::Mux ? 0.0
-          : frontier ? lib.muxCost(n.inputs.empty() ? 0 : 1) +
-                           lib.muxCost(n.inputs.size() < 2 ? 0 : 1)
-                     : alloc::muxCostOf(lib, alloc::arrangeInputs(g, {id}));
+      // arrangement of {id} alone — one signal per populated port.
+      const double freshMux = lib.muxCost(n.inputs.empty() ? 0 : 1) +
+                              lib.muxCost(n.inputs.size() < 2 ? 0 : 1);
 
       struct Candidate {
         int alu = -1;                 ///< existing ALU index, or -1 = fresh
@@ -248,47 +238,28 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
       };
       std::vector<Candidate> cands;
 
-      // Frontier mode: one dependency window per op replaces the per-step
-      // depOk pred walks across every candidate ALU.
-      const auto dw = frontier ? fc.depWindow(s, id)
-                               : FrameCalculator::DepWindow{};
+      // One dependency window per op serves every candidate ALU.
+      const auto dw = fc.depWindow(s, id);
 
       auto pushSteps = [&](AluState* owner, celllib::ModuleId module,
                            double fAlu) {
         // Interconnect term: mux-cost delta under the best arrangement, or
         // the bus-cost delta when building a bus architecture. The mux delta
         // is step-independent; the bus delta depends on the chosen step.
-        // For an existing ALU the delta comes from the incremental
-        // arrangeInputsDelta against the cached arrangement, memoized per
-        // (ALU, op) so upgrade and same-module probes share one evaluation.
+        // For an existing ALU the delta is taken against its cached
+        // arrangement: exact on small graphs, and the O(1) greedy append
+        // that the commit below performs on large ones.
         const int aluIdx = owner ? owner->index : -1;
         double fMux = 0.0;
         if (opt.interconnect == InterconnectStyle::Mux) {
           if (owner == nullptr) {
             fMux = freshMux;
-          } else if (frontier) {
-            // O(1) probe pricing the O(1) greedy commit below; no memo —
-            // each op probes an ALU at most once per pass, so the map was
-            // pure allocation churn at scale.
-            const auto d = alloc::appendDelta(g, owner->arrangement, id);
-            fMux = lib.muxCost(static_cast<int>(d.left)) +
-                   lib.muxCost(static_cast<int>(d.right)) - owner->muxCost;
-          } else if (!opt.incrementalMux) {
-            std::vector<NodeId> after = owner->ops;
-            after.push_back(id);
-            fMux = alloc::muxCostOf(lib, alloc::arrangeInputs(g, after)) -
-                   owner->muxCost;
-          } else if (auto memo = owner->muxDeltaMemo.find(id);
-                     memo != owner->muxDeltaMemo.end()) {
-            trace::bump(trace::Counter::MuxMemoHits);
-            fMux = memo->second;
           } else {
-            trace::bump(trace::Counter::MuxMemoMisses);
-            const auto d =
-                alloc::arrangeInputsDelta(g, owner->arrangement, owner->ops, id);
+            const auto d = greedy ? alloc::appendDelta(g, owner->arrangement, id)
+                                  : alloc::arrangeInputsDelta(
+                                        g, owner->arrangement, owner->ops, id);
             fMux = lib.muxCost(static_cast<int>(d.left)) +
                    lib.muxCost(static_cast<int>(d.right)) - owner->muxCost;
-            owner->muxDeltaMemo.emplace(id, fMux);
           }
         }
         auto pushOne = [&](int step) {
@@ -305,22 +276,13 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
           cd.f = cd.terms.weighted(opt.weights);
           cands.push_back(cd);
         };
-        if (frontier) {
-          // The contribution is non-decreasing in the step for this fixed
-          // (ALU, module) and the tie-break prefers the earlier step, so
-          // the earliest feasible step dominates all later ones.
-          for (int step = dw.firstStep(tf->asap(id), tf->alap(id)); step != 0;
-               step = dw.nextStep(step, tf->alap(id))) {
-            if (aluIdx >= 0 && !occ.canPlace(id, aluIdx + 1, step)) continue;
-            pushOne(step);
-            break;
-          }
-          return;
-        }
-        for (int step = tf->asap(id); step <= tf->alap(id); ++step) {
-          if (!fc.depOk(s, id, step).ok) continue;
+        for (int step = dw.firstStep(tf->asap(id), tf->alap(id)); step != 0;
+             step = dw.nextStep(step, tf->alap(id))) {
           if (aluIdx >= 0 && !occ.canPlace(id, aluIdx + 1, step)) continue;
           pushOne(step);
+          // A monotone f and the earlier-step tie-break make this step
+          // dominate every later one for this (ALU, module).
+          if (monotone) break;
         }
       };
 
@@ -382,18 +344,18 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 
       generate();
       const Candidate* chosen = pick();
-      if (!chosen && frontier &&
+      if (!chosen && greedy &&
           (current[ti] < maxCols[ti] || !userLimited[ti])) {
-        // Frontier local rescheduling: widen the column budget in place and
-        // retry this one operation — the widening opens a fresh-ALU
+        // Large-graph local rescheduling: widen the column budget in place
+        // and retry this one operation — the widening opens a fresh-ALU
         // candidate at the dependency window's first step, so earlier
         // placements stay valid and the pass never re-runs from scratch.
-        // (The exhaustive path below keeps the full restart: re-placing
-        // every op from scratch is what the small-benchmark goldens pin
-        // down, but it multiplies total work by the restart count, which
-        // dominated 10^5-op runs.) If even a fresh ALU has no feasible
-        // step, the dependency window itself is empty and only a full
-        // restart can help, so fall through.
+        // (Small graphs keep the full restart below: re-placing every op
+        // from scratch is what the paper-benchmark goldens pin down, but it
+        // multiplies total work by the restart count, which dominated
+        // 10^5-op runs.) If even a fresh ALU has no feasible step, the
+        // dependency window itself is empty and only a full restart can
+        // help, so fall through.
         if (++restarts > maxRestarts) {
           res.error = "MFSA restart budget exhausted";
           return res;
@@ -451,22 +413,18 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
       }
       AluState& a = alus[static_cast<std::size_t>(aluIdx)];
       a.module = chosen->module;  // fresh assignment or upgrade
-      // Frontier mode commits the op into the cached arrangement in O(1)
+      // Large graphs commit the op into the cached arrangement in O(1)
       // (exact in the commutative / already-pinned cases, greedy with
       // bounded drift otherwise — re-arranging the whole op list per commit
-      // is quadratic in ops-per-ALU). Exhaustive mode rebuilds from the
-      // complete op list, keeping the legacy mux.fullArrangements counter
-      // and the provably minimal arrangement.
+      // is quadratic in ops-per-ALU). Small graphs rebuild it from the
+      // complete op list, keeping the provably minimal arrangement.
       a.ops.push_back(id);
-      if (frontier) {
+      if (greedy) {
         alloc::appendToArrangement(g, a.arrangement, id);
       } else {
         a.arrangement = alloc::arrangeInputs(g, a.ops);
       }
       a.muxCost = alloc::muxCostOf(lib, a.arrangement);
-      if (!a.muxDeltaMemo.empty())
-        trace::bump(trace::Counter::MuxMemoInvalidations);
-      a.muxDeltaMemo.clear();  // the cached deltas were against the old ops
       trace::bump(trace::Counter::MfsaCommits);
 
       occ.place(id, aluIdx + 1, chosen->step);

@@ -3,10 +3,12 @@
 // the dynamic Liapunov function
 //   f_{i,j,k} = w_T*f_TIME + w_A*f_ALU + w_M*f_MUX + w_R*f_REG.
 //
-// Candidates for each operation are every empty, dependency-legal position
-// in the move frame of every capable ALU — existing instances plus one fresh
-// instance of each capable library module. The contribution terms follow
-// Section 4.1 exactly:
+// Candidates for each operation are the empty, dependency-legal positions in
+// the move frame of every capable ALU — existing instances plus one fresh
+// instance of each capable library module. Where f cannot fall with the step
+// (see core/liapunov.h) only each ALU's earliest such position competes, as
+// it dominates the later ones. The contribution terms follow Section 4.1
+// exactly:
 //   f_TIME = C*y with C large enough that a later step can never be bought
 //            by cheaper hardware;
 //   f_ALU  = Cost(module) for a fresh ALU, 0 for an existing one;
@@ -17,11 +19,11 @@
 //            signals living to the chosen step) in {0, 1, 2} registers.
 #pragma once
 
+#include <cstddef>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
-
-#include <optional>
 
 #include "celllib/cell_library.h"
 #include "core/liapunov.h"
@@ -40,6 +42,14 @@ namespace mframe::core {
 /// wires) plus the port taps.
 enum class InterconnectStyle { Mux, Bus };
 
+/// Node count from which MFSA trades exact mux pricing for speed, where f
+/// cannot fall with the step. Below it, each candidate's f_MUX is the exact
+/// alloc::arrangeInputsDelta, each commit re-solves the ALU's arrangement
+/// and an empty move frame restarts the pass. From it on, probes and
+/// commits use the O(1) greedy alloc::appendDelta / appendToArrangement,
+/// and an empty move frame widens the column budget in place.
+inline constexpr std::size_t kMfsaGreedyThreshold = 2048;
+
 struct MfsaOptions {
   /// Time constraint and feature switches; timeSteps must be set.
   sched::Constraints constraints;
@@ -50,19 +60,6 @@ struct MfsaOptions {
 
   InterconnectStyle interconnect = InterconnectStyle::Mux;
   rtl::BusCostModel busModel;  ///< consulted when interconnect == Bus
-
-  /// Move-frame search strategy. Frontier (earliest feasible step per ALU ×
-  /// module, provably the argmin) only applies under mux interconnect with
-  /// non-negative weights — the bus term is not monotone in the step — and
-  /// otherwise silently falls back to Exhaustive.
-  MoveFrameMode frameMode = MoveFrameMode::Auto;
-
-  /// Evaluate each candidate's f_MUX with the incremental
-  /// alloc::arrangeInputsDelta against the ALU's cached arrangement
-  /// (memoized per ALU × op) instead of re-running the full two-pass
-  /// arrangement per candidate. The delta is exact, so results are
-  /// identical either way; the switch exists for differential testing.
-  bool incrementalMux = true;
 
   bool traceLiapunov = true;
 };

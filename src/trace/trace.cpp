@@ -29,9 +29,6 @@ std::string_view counterName(Counter c) {
     case Counter::MuxFullArrangements: return "mux.fullArrangements";
     case Counter::MuxDeltaIncremental: return "mux.deltaIncremental";
     case Counter::MuxDeltaRebuilds: return "mux.deltaRebuilds";
-    case Counter::MuxMemoHits: return "mux.memoHits";
-    case Counter::MuxMemoMisses: return "mux.memoMisses";
-    case Counter::MuxMemoInvalidations: return "mux.memoInvalidations";
     case Counter::DataflowWorklistIterations:
       return "dataflow.worklistIterations";
     case Counter::DataflowWidenings: return "dataflow.widenings";
@@ -95,8 +92,6 @@ double rateOf(Counter hit, Counter miss) {
 
 std::vector<std::pair<std::string_view, double>> derivedRates() {
   std::vector<std::pair<std::string_view, double>> out;
-  out.emplace_back("mux.memoHitRate",
-                   rateOf(Counter::MuxMemoHits, Counter::MuxMemoMisses));
   out.emplace_back("mux.deltaIncrementalRate",
                    rateOf(Counter::MuxDeltaIncremental,
                           Counter::MuxDeltaRebuilds));

@@ -9,7 +9,7 @@
 //
 //  * **Counters** — a fixed, enum-indexed registry of relaxed atomics for
 //    the quantities the pipeline otherwise flies blind on (MFSA candidate
-//    evaluations, mux-memo hits, dataflow worklist iterations, ...).
+//    evaluations, mux-delta fallbacks, dataflow worklist iterations, ...).
 //    Increments are commutative sums, so every counter is *deterministic*:
 //    bit-identical across `--jobs 1` and `--jobs 8` for the same work
 //    (the explorer's determinism contract extends to the metrics block).
@@ -38,13 +38,10 @@ enum class Counter : int {
   MfsaCommits,            ///< moves committed
   MfsaRestarts,           ///< local-rescheduling restarts
   LiapunovUpdates,        ///< committed V updates (MFS + MFSA)
-  LiapunovCellEvals,      ///< MFS move-frame cell energy evaluations
+  LiapunovCellEvals,      ///< MFS move-frame cells probed by the walk
   MuxFullArrangements,    ///< from-scratch arrangeInputs runs
   MuxDeltaIncremental,    ///< arrangeInputsDelta resolved incrementally
   MuxDeltaRebuilds,       ///< arrangeInputsDelta full-rebuild fallbacks
-  MuxMemoHits,            ///< per-(ALU × op) mux-delta memo hits
-  MuxMemoMisses,          ///< memo misses (delta computed and cached)
-  MuxMemoInvalidations,   ///< memo clears on commit
   DataflowWorklistIterations,  ///< dataflow-engine node evaluations
   DataflowWidenings,      ///< fixpoints where the widening threshold fired
   StaEndpoints,           ///< register/output endpoints timed by the STA
@@ -102,8 +99,9 @@ std::uint64_t counterValue(Counter c);
 std::vector<std::pair<std::string_view, std::uint64_t>> counterSnapshot();
 
 /// Metrics block: {"schema": 1, "counters": {...}, "derived": {...}}.
-/// Derived rates (e.g. mux.memoHitRate) are pure functions of the counters,
-/// so the whole block is deterministic. `indent` prefixes every line.
+/// Derived rates (e.g. mux.deltaIncrementalRate) are pure functions of the
+/// counters, so the whole block is deterministic. `indent` prefixes every
+/// line.
 std::string metricsJson(const std::string& indent = "");
 
 /// Human-readable counter table plus derived rates.

@@ -1,9 +1,10 @@
 // Differential regression for DFG-storage and scheduler-internals changes:
 // the eight paper benchmarks must produce bit-identical MFS/MFSA schedules,
 // datapath summaries and engine counters (mfsa.*, liapunov.*, mux.*) no
-// matter how the graph is stored or how the move frame is enumerated. The
-// golden files were generated before the SoA/CSR storage refactor; any drift
-// means an algorithmic change leaked into the paper-scale path.
+// matter how the graph is stored. The schedule and cost lines date from
+// before the SoA/CSR storage refactor; any drift there means an algorithmic
+// change leaked into the paper-scale path. The counters measure the search's
+// work, so a change to how move frames are searched moves only them.
 //
 // Regenerate (only for an acknowledged algorithm change) with
 // MFRAME_UPDATE_GOLDEN=1.

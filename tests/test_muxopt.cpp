@@ -228,7 +228,9 @@ TEST(MuxOpt, DeltaMatchesBatchOnSystematicOpMixes) {
           << g.name() << " appending " << g.node(next).name;
       ASSERT_EQ(d.right, full.right.size())
           << g.name() << " appending " << g.node(next).name;
-      if (!d.rebuilt) EXPECT_EQ(d.swapped, full.swapped.at(next));
+      if (!d.rebuilt) {
+        EXPECT_EQ(d.swapped, full.swapped.at(next));
+      }
     }
   }
 }

@@ -62,8 +62,11 @@ TEST(Op, NameAndSymbolParseBack) {
 }
 
 TEST(Op, EveryScheduleableKindHasAnFuType) {
-  for (OpKind k : kAllKinds)
-    if (isSchedulable(k)) EXPECT_FALSE(fuTypeName(fuTypeOf(k)).empty());
+  for (OpKind k : kAllKinds) {
+    if (isSchedulable(k)) {
+      EXPECT_FALSE(fuTypeName(fuTypeOf(k)).empty());
+    }
+  }
 }
 
 TEST(Op, FuTypeNamesAndSymbolsAreNonEmpty) {

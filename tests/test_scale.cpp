@@ -4,13 +4,17 @@
 // down the eager-freeze fix for the old lazy successor cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/dataflow/engine.h"
 #include "celllib/ncr_like.h"
+#include "core/frames.h"
+#include "core/grid.h"
 #include "core/mfs.h"
 #include "dfg/builder.h"
 #include "dfg/transforms.h"
@@ -19,6 +23,7 @@
 #include "sched/timeframes.h"
 #include "trace/trace.h"
 #include "util/strings.h"
+#include "workloads/benchmarks.h"
 #include "workloads/random_dfg.h"
 
 namespace mframe {
@@ -215,9 +220,116 @@ TEST(Scale, ExploreCountersAreJobCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// MFS frontier-vs-exhaustive equivalence: the dominance pruning is proved
-// exact, so both modes must produce identical schedules on a graph large
-// enough to exercise multicycle ops, restarts and both objective modes.
+// MFS frontier-vs-exhaustive equivalence. runMfs finds each op's cell by
+// walking its dependency window in energy order; the oracle below is the
+// paper's exhaustive formulation, which prices every cell of
+// FrameCalculator::compute's move frame and keeps the minimum-energy one
+// (earlier step, then lower column, on a tie). Any cell the walk picks
+// differently shows up as a differing step or column.
+
+struct ExhaustiveMfs {
+  bool feasible = false;
+  int steps = 0;
+  int restarts = 0;
+  sched::Schedule schedule;
+};
+
+ExhaustiveMfs exhaustiveMfs(const dfg::Dfg& g, const core::MfsOptions& opt) {
+  const bool timeMode = opt.mode == core::MfsLiapunov::Mode::TimeConstrained;
+  sched::Constraints c = opt.constraints;
+  sched::Constraints probe;
+  probe.allowChaining = c.allowChaining;
+  probe.clockNs = c.clockNs;
+  const int critical = sched::computeTimeFrames(g, probe)->criticalSteps();
+  ExhaustiveMfs res;
+  for (int cs = timeMode ? c.timeSteps : std::max(critical, c.timeSteps);
+       cs <= opt.maxStepsCap; ++cs) {
+    c.timeSteps = cs;
+    const auto tf = sched::computeTimeFrames(g, c);
+    std::vector<int> maxCols(dfg::kNumFuTypes), current(dfg::kNumFuTypes);
+    std::vector<bool> userLimited(dfg::kNumFuTypes, false);
+    for (std::size_t t = 0; t < dfg::kNumFuTypes; ++t) {
+      const auto ft = static_cast<dfg::FuType>(t);
+      const auto lim = c.fuLimit.find(ft);
+      userLimited[t] = lim != c.fuLimit.end();
+      maxCols[t] = userLimited[t] ? lim->second : std::max(1, tf->upperBound(ft));
+      const int balanced = static_cast<int>(
+          (g.countOfType(ft) + static_cast<std::size_t>(cs) - 1) /
+          static_cast<std::size_t>(cs));
+      current[t] = timeMode ? std::min(std::max(balanced, 1), maxCols[t])
+                            : maxCols[t];
+    }
+    const auto order = core::topoConsistentOrder(
+        g, sched::priorityOrder(g, *tf, opt.priorityRule));
+    bool csInfeasible = false;
+    while (!csInfeasible) {
+      const core::MfsLiapunov energy(
+          opt.mode, *std::max_element(maxCols.begin(), maxCols.end()), cs);
+      sched::Schedule s(g);
+      s.setNumSteps(cs);
+      core::Grid grid(g, c);
+      core::FrameCalculator fc(g, c, *tf);
+      bool restart = false;
+      for (NodeId id : *order) {
+        const dfg::FuType type = dfg::fuTypeOf(g.kindOf(id));
+        const auto t = static_cast<std::size_t>(type);
+        const auto frames =
+            fc.compute(s, grid.table(type), id, current[t], maxCols[t]);
+        // The move frame lists cells step-major, columns ascending, so a
+        // strict comparison keeps the earlier step, then the lower column.
+        const sched::Placement* best = nullptr;
+        for (const sched::Placement& cell : frames.moveFrame)
+          if (!best || energy.value(cell.column, cell.step) <
+                           energy.value(best->column, best->step))
+            best = &cell;
+        if (best == nullptr) {
+          if (current[t] < maxCols[t]) {
+            ++current[t];
+          } else if (timeMode && !userLimited[t]) {
+            ++maxCols[t];
+            ++current[t];
+          } else if (!timeMode) {
+            csInfeasible = true;
+            break;
+          } else {
+            return res;
+          }
+          if (++res.restarts > opt.maxRestarts) return res;
+          restart = true;
+          break;
+        }
+        const sched::Placement cell = *best;
+        grid.place(id, cell.column, cell.step);
+        s.place(id, cell.step, cell.column);
+        fc.recordPlacement(s, id, cell.step);
+      }
+      if (restart) continue;
+      if (csInfeasible) break;
+      res.feasible = true;
+      res.steps = cs;
+      res.schedule = std::move(s);
+      return res;
+    }
+    if (timeMode) break;
+  }
+  return res;
+}
+
+void expectMatchesExhaustive(const dfg::Dfg& g, const core::MfsOptions& opt,
+                             const std::string& what) {
+  const auto ex = exhaustiveMfs(g, opt);
+  const auto fr = core::runMfs(g, opt);
+  ASSERT_TRUE(ex.feasible) << what;
+  ASSERT_TRUE(fr.feasible) << what << ": " << fr.error;
+  EXPECT_EQ(ex.steps, fr.steps) << what;
+  EXPECT_EQ(ex.restarts, fr.restarts) << what;
+  for (NodeId id : g.operations()) {
+    ASSERT_EQ(ex.schedule.stepOf(id), fr.schedule.stepOf(id))
+        << what << " " << g.node(id).name;
+    ASSERT_EQ(ex.schedule.columnOf(id), fr.schedule.columnOf(id))
+        << what << " " << g.node(id).name;
+  }
+}
 
 TEST(Scale, MfsFrontierMatchesExhaustive) {
   workloads::RandomDfgOptions wopt;
@@ -228,32 +340,47 @@ TEST(Scale, MfsFrontierMatchesExhaustive) {
   wopt.seed = 11;
   const dfg::Dfg g = workloads::randomDfg(wopt);
 
-  for (const auto mode : {core::MfsLiapunov::Mode::TimeConstrained,
-                          core::MfsLiapunov::Mode::ResourceConstrained}) {
-    core::MfsOptions opt;
-    opt.mode = mode;
-    if (mode == core::MfsLiapunov::Mode::TimeConstrained) {
-      sched::Constraints probe;
-      opt.constraints.timeSteps =
-          sched::computeTimeFrames(g, probe)->criticalSteps() + 2;
-    } else {
-      opt.constraints.fuLimit[dfg::FuType::Multiplier] = 6;
-      opt.constraints.fuLimit[dfg::FuType::Adder] = 8;
-    }
-    opt.frameMode = core::MoveFrameMode::Exhaustive;
-    const auto ex = core::runMfs(g, opt);
-    opt.frameMode = core::MoveFrameMode::Frontier;
-    const auto fr = core::runMfs(g, opt);
+  core::MfsOptions time;
+  sched::Constraints probe;
+  time.constraints.timeSteps =
+      sched::computeTimeFrames(g, probe)->criticalSteps() + 2;
+  expectMatchesExhaustive(g, time, "time");
 
-    ASSERT_TRUE(ex.feasible) << ex.error;
-    ASSERT_TRUE(fr.feasible) << fr.error;
-    EXPECT_EQ(ex.steps, fr.steps);
-    EXPECT_EQ(ex.fuCount, fr.fuCount);
-    EXPECT_EQ(ex.restarts, fr.restarts);
-    for (NodeId id : g.operations()) {
-      ASSERT_EQ(ex.schedule.stepOf(id), fr.schedule.stepOf(id)) << g.node(id).name;
-      ASSERT_EQ(ex.schedule.columnOf(id), fr.schedule.columnOf(id)) << g.node(id).name;
+  core::MfsOptions resource;
+  resource.mode = core::MfsLiapunov::Mode::ResourceConstrained;
+  resource.constraints.fuLimit[dfg::FuType::Multiplier] = 6;
+  resource.constraints.fuLimit[dfg::FuType::Adder] = 8;
+  expectMatchesExhaustive(g, resource, "resource");
+}
+
+TEST(Scale, MfsFrontierMatchesExhaustiveOnPaperDesigns) {
+  std::vector<workloads::BenchmarkCase> cases = workloads::paperSuite();
+  cases.push_back({.id = "fdct", .feature = "1",
+                   .graph = workloads::fdctLike(), .timeSweep = {8, 9, 11},
+                   .constraints = {}});
+  cases.push_back({.id = "iir", .feature = "1",
+                   .graph = workloads::iirBiquads(), .timeSweep = {13, 14, 16},
+                   .constraints = {}});
+  for (const auto& bc : cases) {
+    for (int cs : bc.timeSweep) {
+      core::MfsOptions time;
+      time.constraints = bc.constraints;
+      time.constraints.timeSteps = cs;
+      expectMatchesExhaustive(bc.graph, time,
+                              util::format("%s time %d", bc.id.c_str(), cs));
+      time.priorityRule = sched::PriorityRule::InsertionOrder;
+      expectMatchesExhaustive(bc.graph, time,
+                              util::format("%s time %d insertion order",
+                                           bc.id.c_str(), cs));
     }
+    core::MfsOptions resource;
+    resource.mode = core::MfsLiapunov::Mode::ResourceConstrained;
+    resource.constraints = bc.constraints;
+    expectMatchesExhaustive(bc.graph, resource, bc.id + " resource");
+    // One unit of every type forces long schedules and many restarts.
+    for (std::size_t t = 0; t < dfg::kNumFuTypes; ++t)
+      resource.constraints.fuLimit[static_cast<dfg::FuType>(t)] = 1;
+    expectMatchesExhaustive(bc.graph, resource, bc.id + " resource 1/type");
   }
 }
 

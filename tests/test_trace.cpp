@@ -60,17 +60,17 @@ TEST(Trace, CounterNamesAreUniqueAndDotted) {
 
 TEST(Trace, MetricsJsonCarriesEveryCounterAndDerivedRates) {
   ScopedInstrumentation scoped;
-  bump(Counter::MuxMemoHits, 3);
-  bump(Counter::MuxMemoMisses, 1);
+  bump(Counter::MuxDeltaIncremental, 3);
+  bump(Counter::MuxDeltaRebuilds, 1);
   const std::string j = metricsJson();
   // The marker line scripts grep for (tools/bench-json.sh, bench-compare.sh).
   EXPECT_EQ(j.rfind("{\"schema\": 1,", 0), 0u);
   for (const auto& [name, value] : counterSnapshot())
     EXPECT_NE(j.find("\"" + std::string(name) + "\":"), std::string::npos)
         << name;
-  EXPECT_NE(j.find("\"mux.memoHitRate\": 0.750000"), std::string::npos) << j;
-  EXPECT_NE(j.find("\"mux.deltaIncrementalRate\": 0.000000"),
-            std::string::npos);
+  EXPECT_NE(j.find("\"mux.deltaIncrementalRate\": 0.750000"),
+            std::string::npos)
+      << j;
   EXPECT_NE(j.find("\"explore.feasibleRate\""), std::string::npos);
 }
 
@@ -144,37 +144,6 @@ TEST(ExploreCounters, BitIdenticalAcrossJobCounts) {
   EXPECT_GT(counterValue(Counter::MfsaCandidates), 0u);
   EXPECT_EQ(counterValue(Counter::ExploreConfigs),
             counterValue(Counter::MfsaRuns));
-}
-
-TEST(ExploreCounters, MuxMemoDifferentialMatchesIncrementalSwitch) {
-  const celllib::CellLibrary lib = celllib::ncrLike();
-  const dfg::Dfg g = workloads::diffeq();
-  ScopedInstrumentation scoped;
-
-  core::MfsaOptions inc;
-  inc.constraints.timeSteps = 4;
-  inc.incrementalMux = true;
-  ASSERT_TRUE(core::runMfsa(g, lib, inc).feasible);
-  // Every memo miss computes exactly one delta — incrementally or via the
-  // full-rebuild fallback — so the three counters tie out.
-  EXPECT_GT(counterValue(Counter::MuxMemoMisses), 0u);
-  EXPECT_EQ(counterValue(Counter::MuxMemoMisses),
-            counterValue(Counter::MuxDeltaIncremental) +
-                counterValue(Counter::MuxDeltaRebuilds));
-  // The placement loop probes each (ALU, op) pair at most once per attempt,
-  // so today the memo never hits; the counter pins that down. If a future
-  // change probes pairs twice (or the memo is removed), this moves.
-  EXPECT_EQ(counterValue(Counter::MuxMemoHits), 0u);
-
-  resetCounters();
-  core::MfsaOptions full = inc;
-  full.incrementalMux = false;
-  ASSERT_TRUE(core::runMfsa(g, lib, full).feasible);
-  // The from-scratch differential path touches none of the delta machinery.
-  EXPECT_EQ(counterValue(Counter::MuxMemoMisses), 0u);
-  EXPECT_EQ(counterValue(Counter::MuxDeltaIncremental), 0u);
-  EXPECT_EQ(counterValue(Counter::MuxDeltaRebuilds), 0u);
-  EXPECT_GT(counterValue(Counter::MuxFullArrangements), 0u);
 }
 
 }  // namespace

@@ -21,8 +21,11 @@ TEST(MergeSharedBranchOps, SurvivorHoistedToCommonPrefix) {
   Dfg g = test::branchy();
   mergeSharedBranchOps(g);
   // The surviving add is unconditional (common prefix of c1.t and c1.e).
-  for (NodeId id : g.operations())
-    if (g.node(id).kind == OpKind::Add) EXPECT_EQ(g.node(id).branchPath, "");
+  for (NodeId id : g.operations()) {
+    if (g.node(id).kind == OpKind::Add) {
+      EXPECT_EQ(g.node(id).branchPath, "");
+    }
+  }
 }
 
 TEST(MergeSharedBranchOps, ConsumersRewired) {

@@ -1,12 +1,15 @@
 #!/usr/bin/env sh
 # Run the google-benchmark binaries and merge their JSON reports into one
 # BENCH_runtime.json tracking the repo's performance trajectory:
-#   { "runtime": ..., "explore": ..., "analyze": ..., "tune": ...,
-#     "audit": ..., "cache": ..., "range": ..., "scale": ..., "metrics": ... }
-# — one google-benchmark report per binary, plus the pipeline counter
-# metrics of two pinned CLI invocations (extracted from the '{"schema": 1,'
-# marker object that --metrics=json appends to stdout). Counters are
-# deterministic, so tools/bench-compare.sh gates on them exactly.
+#   { "provenance": ..., "runtime": ..., "explore": ..., "analyze": ...,
+#     "tune": ..., "audit": ..., "cache": ..., "range": ..., "scale": ...,
+#     "metrics": ... }
+# — the git revision and mframe build type the numbers come from, one
+# google-benchmark report per binary, plus the pipeline counter metrics of
+# pinned CLI invocations (extracted from the '{"schema": 1,' marker object
+# that --metrics=json appends to stdout). Counters are deterministic, so
+# tools/bench-compare.sh gates on them exactly. (google-benchmark's own
+# "library_build_type" describes the benchmark library, not mframe.)
 #
 # Usage: tools/bench-json.sh [build-dir] [output-file]
 #   build-dir    tree containing bench/bench_runtime (default: build)
@@ -35,6 +38,20 @@ fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# Provenance: the measured revision ("-dirty" when the work tree has
+# uncommitted changes) and the build tree's CMAKE_BUILD_TYPE, which an
+# empty cache entry leaves at the project default, RelWithDebInfo.
+revision=$(git -C "$repo" rev-parse HEAD 2>/dev/null || echo unknown)
+if [ "$revision" != unknown ] &&
+   [ -n "$(git -C "$repo" status --porcelain --untracked-files=no)" ]; then
+  revision="$revision-dirty"
+fi
+buildType=unknown
+if [ -r "$build/CMakeCache.txt" ]; then
+  buildType=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$build/CMakeCache.txt")
+  buildType=${buildType:-RelWithDebInfo}
+fi
 
 # shellcheck disable=SC2086  # minTimeArg is intentionally word-split
 "$build/bench/bench_runtime" --benchmark_format=json $minTimeArg \
@@ -111,7 +128,9 @@ else
 fi
 
 {
-  printf '{\n"runtime":\n'
+  printf '{\n"provenance": {"git_revision": "%s", "build_type": "%s"},\n' \
+    "$revision" "$buildType"
+  printf '"runtime":\n'
   cat "$tmp/runtime.json"
   printf ',\n"explore":\n'
   cat "$tmp/explore.json"

@@ -69,6 +69,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -607,11 +608,17 @@ int runSynth(const Cli& cli, const dfg::Dfg& g) {
               bad.empty() ? "clean" : bad.front().c_str());
 
   const auto fsm = rtl::buildController(r.datapath);
+  // The microcode ROM is built on first use and shared by every check.
+  std::optional<rtl::MicrocodeRom> romCache;
+  auto rom = [&]() -> const rtl::MicrocodeRom& {
+    if (!romCache) romCache = rtl::buildMicrocode(r.datapath, fsm);
+    return *romCache;
+  };
   bool auditFailed = false;
   if (cli.doAudit) {
-    const auto rom = rtl::buildMicrocode(r.datapath, fsm);
     const analysis::audit::AuditResult audit = analysis::audit::auditDesign(
-        r.datapath, fsm, rom, {cli.jobs > 0 ? cli.jobs : 1});
+        r.datapath, fsm, rom(),
+        {.jobs = cli.jobs > 0 ? cli.jobs : 1, .provenDead = {}});
     std::printf("%s\n", analysis::audit::renderAuditSummary(audit).c_str());
     if (!audit.clean()) {
       std::printf("%s", audit.report.renderText().c_str());
@@ -620,11 +627,10 @@ int runSynth(const Cli& cli, const dfg::Dfg& g) {
   }
   bool rangeFailed = false;
   if (cli.doRange) {
-    const auto rom = rtl::buildMicrocode(r.datapath, fsm);
     analysis::range::RangeOptions ro;
     ro.jobs = cli.jobs > 0 ? cli.jobs : 1;
     const analysis::range::RangeResult ranges =
-        analysis::range::analyzeDesignRanges(r.datapath, fsm, rom, ro);
+        analysis::range::analyzeDesignRanges(r.datapath, fsm, rom(), ro);
     std::printf("%s\n", analysis::range::renderRangeSummary(ranges).c_str());
     if (!ranges.clean()) {
       std::printf("%s", ranges.report.renderText().c_str());
@@ -633,9 +639,8 @@ int runSynth(const Cli& cli, const dfg::Dfg& g) {
   }
   bool proveFailed = false;
   if (cli.doProve) {
-    const auto rom = rtl::buildMicrocode(r.datapath, fsm);
     const analysis::LintReport proof =
-        analysis::proveDatapath(r.datapath, fsm, rom);
+        analysis::proveDatapath(r.datapath, fsm, rom());
     if (proof.empty()) {
       std::printf("translation validation: PROVED\n");
     } else {
@@ -659,8 +664,7 @@ int runSynth(const Cli& cli, const dfg::Dfg& g) {
   if (cli.emitReport)
     std::printf("\n%s", sched::analyzeSchedule(r.datapath.schedule).toString().c_str());
   if (cli.emitController) std::printf("\n%s", fsm.toString(g).c_str());
-  if (cli.emitMicrocode)
-    std::printf("\n%s", rtl::buildMicrocode(r.datapath, fsm).toString().c_str());
+  if (cli.emitMicrocode) std::printf("\n%s", rom().toString().c_str());
   if (cli.emitTestability)
     std::printf("\ntestability: %s\n",
                 rtl::analyzeTestability(r.datapath).toString().c_str());
@@ -896,7 +900,7 @@ int runProve(const Cli& cli, const dfg::Dfg& g) {
   if (bound) {
     const analysis::audit::AuditResult audit = analysis::audit::auditDesign(
         bound->datapath, bound->fsm, bound->rom,
-        {cli.jobs > 0 ? cli.jobs : 1});
+        {.jobs = cli.jobs > 0 ? cli.jobs : 1, .provenDead = {}});
     if (audit.report.hasErrors()) {
       how += " (audit fast path)";
       report = audit.report;
