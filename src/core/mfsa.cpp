@@ -255,14 +255,17 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
           if (owner == nullptr) {
             fMux = freshMux;
           } else {
-            const auto d = greedy ? alloc::appendDelta(g, owner->arrangement, id)
-                                  : alloc::arrangeInputsDelta(
-                                        g, owner->arrangement, owner->ops, id);
+            const auto d =
+                greedy ? alloc::appendDelta(g, owner->arrangement, id)
+                       : alloc::arrangeInputsDelta(g, owner->arrangement,
+                                                   owner->ops, id);
             fMux = lib.muxCost(static_cast<int>(d.left)) +
                    lib.muxCost(static_cast<int>(d.right)) - owner->muxCost;
           }
         }
-        auto pushOne = [&](int step) {
+        for (int step = dw.firstStep(tf->asap(id), tf->alap(id)); step != 0;
+             step = dw.nextStep(step, tf->alap(id))) {
+          if (aluIdx >= 0 && !occ.canPlace(id, aluIdx + 1, step)) continue;
           Candidate cd;
           cd.alu = aluIdx;
           cd.module = module;
@@ -275,11 +278,6 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
           cd.terms.fReg = lib.regCost() * newRegsAt(step);
           cd.f = cd.terms.weighted(opt.weights);
           cands.push_back(cd);
-        };
-        for (int step = dw.firstStep(tf->asap(id), tf->alap(id)); step != 0;
-             step = dw.nextStep(step, tf->alap(id))) {
-          if (aluIdx >= 0 && !occ.canPlace(id, aluIdx + 1, step)) continue;
-          pushOne(step);
           // A monotone f and the earlier-step tie-break make this step
           // dominate every later one for this (ALU, module).
           if (monotone) break;
