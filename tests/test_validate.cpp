@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <string>
@@ -235,6 +236,122 @@ TEST(ProveReject, OffByOneLatchFiresEqv005) {
   ASSERT_TRUE(fires(r, kEqvStepDisagreement)) << r.renderText();
   // The late latch also starves t3, which reads the register in step 3.
   EXPECT_TRUE(fires(r, kEqvOperandMismatch)) << r.renderText();
+}
+
+// ---------------------------------------------------------------------------
+// Reject direction: ROM words that disagree with their controller. MFSA's
+// diffeq at 4 steps; each case edits the ROM alone and leaves the FSM as
+// built, so only the ROM cross-checks can see the defect.
+// ---------------------------------------------------------------------------
+
+struct RomDesign {
+  rtl::Datapath datapath;
+  rtl::ControllerFsm fsm;
+  rtl::MicrocodeRom rom;
+
+  /// Row `step`'s value of the field named `field` (looked up by its
+  /// role, never by its position in the word).
+  int& cell(int step, std::string_view field) {
+    const int f = rom.fieldIndex(field);
+    EXPECT_GE(f, 0) << field;
+    return rom.rows.at(static_cast<std::size_t>(step - 1))
+        .at(static_cast<std::size_t>(f));
+  }
+};
+
+RomDesign diffeqRom() {
+  static const celllib::CellLibrary lib = celllib::ncrLike();
+  core::MfsaOptions o;
+  o.constraints.timeSteps = 4;
+  const core::MfsaResult res = core::runMfsa(workloads::diffeq(), lib, o);
+  EXPECT_TRUE(res.feasible) << res.error;
+  RomDesign b{res.datapath, rtl::buildController(res.datapath), {}};
+  b.rom = rtl::buildMicrocode(b.datapath, b.fsm);
+  return b;
+}
+
+/// Prove `b`; one `rule` finding must carry `message` and name `field` in
+/// its location.
+void expectRomFinding(const RomDesign& b, std::string_view rule,
+                      std::string_view message, std::string_view field) {
+  const LintReport r = proveDatapath(b.datapath, b.fsm, b.rom);
+  const std::vector<Diagnostic> found = r.byRule(rule);
+  const auto it = std::find_if(found.begin(), found.end(),
+                               [&](const Diagnostic& d) {
+                                 return d.message.find(message) !=
+                                        std::string::npos;
+                               });
+  ASSERT_NE(it, found.end()) << r.renderText();
+  EXPECT_EQ(it->loc.detail, field);
+}
+
+TEST(ProveReject, UnmutatedRomProves) {
+  const RomDesign b = diffeqRom();
+  const LintReport r = proveDatapath(b.datapath, b.fsm, b.rom);
+  EXPECT_TRUE(r.empty()) << r.renderText();
+}
+
+TEST(ProveReject, RomOpcodeDontCareFiresEqv005) {
+  RomDesign b = diffeqRom();
+  b.cell(1, "alu1.op") = -1;
+  expectRomFinding(b, kEqvStepDisagreement,
+                   "step 1 issues 'm2' but field alu1.op holds a don't-care",
+                   "alu1.op");
+}
+
+TEST(ProveReject, RomOpcodeMismatchFiresEqv005) {
+  RomDesign b = diffeqRom();
+  int& op = b.cell(1, "alu1.op");
+  op = 1 - op;  // ALU1 runs sub (0) and mul (1)
+  expectRomFinding(b, kEqvStepDisagreement,
+                   "ROM opcode 0 in step 1 selects 'sub' but the schedule "
+                   "runs 'mul'",
+                   "alu1.op");
+}
+
+TEST(ProveReject, RomSpuriousLoadFiresEqv005) {
+  // R0 latches in every step of diffeq; R1 first latches in step 2.
+  RomDesign b = diffeqRom();
+  b.cell(1, "R1.load") = 1;
+  expectRomFinding(b, kEqvStepDisagreement,
+                   "ROM asserts R1.load in step 1 but no value is latched "
+                   "there",
+                   "R1.load");
+}
+
+TEST(ProveReject, RomMissingLoadFiresEqv005) {
+  RomDesign b = diffeqRom();
+  b.cell(2, "R1.load") = -1;
+  expectRomFinding(b, kEqvStepDisagreement,
+                   "ROM misses R1.load in step 2 where the controller "
+                   "latches",
+                   "R1.load");
+}
+
+TEST(ProveReject, RomSelectMismatchFiresEqv004) {
+  RomDesign b = diffeqRom();
+  b.cell(1, "alu0.selL") = 1;
+  expectRomFinding(b, kEqvMuxRoute,
+                   "left port of ALU0 issues select 1 (R0) but the binding "
+                   "routes 'three' through select 0",
+                   "alu0.selL");
+}
+
+TEST(ProveReject, RomSelectOutsideMuxFiresEqv004) {
+  RomDesign b = diffeqRom();
+  b.cell(1, "alu0.selL") = 7;
+  expectRomFinding(b, kEqvMuxRoute,
+                   "left port select 7 of ALU0 is outside its 2-way mux",
+                   "alu0.selL");
+}
+
+TEST(ProveReject, RomShapeFiresEqv005) {
+  RomDesign b = diffeqRom();
+  b.rom.rows.pop_back();
+  expectRomFinding(b, kEqvStepDisagreement,
+                   "microcode ROM shape (3 rows) disagrees with the 4-state "
+                   "controller",
+                   "");
 }
 
 TEST(ProveReject, MalformedBindTextIsReported) {
