@@ -40,8 +40,8 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Provenance: the measured revision ("-dirty" when the work tree has
-# uncommitted changes) and the build tree's CMAKE_BUILD_TYPE, which an
-# empty cache entry leaves at the project default, RelWithDebInfo.
+# uncommitted changes) and the build tree's CMAKE_BUILD_TYPE, which the
+# project records in the cache even when it falls back to its default.
 revision=$(git -C "$repo" rev-parse HEAD 2>/dev/null || echo unknown)
 if [ "$revision" != unknown ] &&
    [ -n "$(git -C "$repo" status --porcelain --untracked-files=no)" ]; then
@@ -50,7 +50,6 @@ fi
 buildType=unknown
 if [ -r "$build/CMakeCache.txt" ]; then
   buildType=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$build/CMakeCache.txt")
-  buildType=${buildType:-RelWithDebInfo}
 fi
 
 # shellcheck disable=SC2086  # minTimeArg is intentionally word-split
