@@ -58,17 +58,20 @@ cmake --build "$repo/build-ci-tsan" -j "$jobs" --target mframe
 # everything down — is the cheapest way to prove every wrap really is
 # checked. The same tree enables libstdc++'s precondition assertions, which
 # abort on standard-library misuse such as a std::clamp whose bounds cross
-# (the schedulers' column budgets under a zero FU limit). Run the
-# interval/dataflow and range suites, where all of that arithmetic lives,
-# and the schedulers' up-front infeasibility tests.
+# (the schedulers' column budgets under a zero FU limit) or an
+# out-of-range vector index. Run the interval/dataflow and range suites,
+# where all of that arithmetic lives, the schedulers' up-front
+# infeasibility tests, and the controller's readers — prove, lint, audit,
+# the microcode, controller, bus, datapath and Verilog builders — which
+# index ROM rows by field handle and walk the per-step issue and latch rows.
 echo "==== configure build-ci-ubsan (-DMFRAME_SANITIZE=undefined -D_GLIBCXX_ASSERTIONS)"
 cmake -B "$repo/build-ci-ubsan" -S "$repo" -DMFRAME_SANITIZE=undefined \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 echo "==== build build-ci-ubsan (mframe_tests)"
 cmake --build "$repo/build-ci-ubsan" -j "$jobs" --target mframe_tests
-echo "==== interval, dataflow, range and infeasibility checks under UBSan"
+echo "==== interval, dataflow, range, infeasibility and controller-reader checks under UBSan"
 "$repo/build-ci-ubsan/tests/mframe_tests" \
-  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:Bind*:*Unschedulable*' \
+  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:Bind*:*Unschedulable*:Prove*:Microcode*:LintRtl*:Audit*:Controller*:Verilog*:Bus*:Datapath*' \
   --gtest_brief=1
 
 # Scale smoke in the plain tree: a 100k-op random DFG through the full
