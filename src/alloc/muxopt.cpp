@@ -19,6 +19,16 @@ void addUnique(std::vector<dfg::NodeId>& v, std::unordered_set<dfg::NodeId>& s,
 
 }  // namespace
 
+MuxArrangement::Ports MuxArrangement::portSignals(const dfg::Node& n) const {
+  Ports p;
+  if (n.inputs.empty()) return p;
+  const auto it = swapped.find(n.id);
+  const bool swap = it != swapped.end() && it->second && n.inputs.size() == 2;
+  p.left = n.inputs[swap ? 1 : 0];
+  if (n.inputs.size() >= 2) p.right = n.inputs[swap ? 0 : 1];
+  return p;
+}
+
 MuxArrangement arrangeInputs(const dfg::Dfg& g,
                              const std::vector<dfg::NodeId>& ops) {
   trace::bump(trace::Counter::MuxFullArrangements);

@@ -33,6 +33,19 @@ struct MuxArrangement {
   std::unordered_set<dfg::NodeId> pinnedLeftSet, pinnedRightSet;
 
   std::size_t totalInputs() const { return left.size() + right.size(); }
+
+  /// The signals op `n` reads through port 1 and port 2 (kNoNode where it
+  /// has no such operand): the one statement of the operand swap every
+  /// reader of the datapath shares. A swapped commutative op reads
+  /// inputs[1] on the left port and inputs[0] on the right. The RTL
+  /// simulator (src/sim/) keeps its own statement on purpose: it is the
+  /// independent oracle that prove's differential test and the benchmark's
+  /// output check compare against the DFG.
+  struct Ports {
+    dfg::NodeId left = dfg::kNoNode;
+    dfg::NodeId right = dfg::kNoNode;
+  };
+  Ports portSignals(const dfg::Node& n) const;
 };
 
 /// Arrange the operand signals of `ops` (all bound to one ALU) across the

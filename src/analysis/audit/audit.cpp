@@ -10,10 +10,10 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/audit/step_index.h"
 #include "analysis/dataflow/engine.h"
 #include "analysis/rules.h"
 #include "explore/thread_pool.h"
+#include "rtl/step_index.h"
 #include "trace/trace.h"
 #include "util/strings.h"
 
@@ -22,28 +22,8 @@ namespace mframe::analysis::audit {
 namespace {
 
 using dfg::NodeId;
-
-Diagnostic diag(std::string_view rule, EntityKind entity, Location loc,
-                std::string message, std::string fixit = "") {
-  Diagnostic d;
-  d.rule = std::string(rule);
-  d.severity = findRule(rule)->severity;
-  d.entity = entity;
-  d.loc = std::move(loc);
-  d.message = std::move(message);
-  d.fixit = std::move(fixit);
-  return d;
-}
-
-Location at(std::string node, int step = -1, int unit = -1,
-            std::string detail = "") {
-  Location l;
-  l.node = std::move(node);
-  l.step = step;
-  l.unit = unit;
-  l.detail = std::move(detail);
-  return l;
-}
+using rtl::PortRead;
+using rtl::StepIndex;
 
 // ------------------------------------------------------------- bit vectors
 
@@ -92,7 +72,8 @@ struct DefState {
 
 // --------------------------------------------------- definedness transfer
 // (the per-state fold itself — StepIndex — is shared with the range
-// analysis and lives in step_index.h)
+// analysis, the validator and the Verilog writer, and lives in
+// rtl/step_index.h)
 
 /// Would executing `op` with register facts `in` produce a clean value?
 /// Chained operands (ALU-output sources) recurse into their producer;

@@ -8,11 +8,11 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/audit/step_index.h"
 #include "analysis/dataflow/engine.h"
 #include "analysis/dataflow/passes.h"
 #include "analysis/rules.h"
 #include "explore/thread_pool.h"
+#include "rtl/step_index.h"
 #include "trace/trace.h"
 #include "util/strings.h"
 
@@ -20,34 +20,12 @@ namespace mframe::analysis::range {
 
 namespace {
 
-using audit::PortRead;
 using audit::ReachResult;
-using audit::StepIndex;
 using dataflow::Interval;
 using dfg::NodeId;
+using rtl::PortRead;
+using rtl::StepIndex;
 using sim::Word;
-
-Diagnostic diag(std::string_view rule, EntityKind entity, Location loc,
-                std::string message, std::string fixit = "") {
-  Diagnostic d;
-  d.rule = std::string(rule);
-  d.severity = findRule(rule)->severity;
-  d.entity = entity;
-  d.loc = std::move(loc);
-  d.message = std::move(message);
-  d.fixit = std::move(fixit);
-  return d;
-}
-
-Location at(std::string node, int step = -1, int unit = -1,
-            std::string detail = "") {
-  Location l;
-  l.node = std::move(node);
-  l.step = step;
-  l.unit = unit;
-  l.detail = std::move(detail);
-  return l;
-}
 
 std::string formatPath(const std::vector<int>& path) {
   std::string s = "reachable path:";

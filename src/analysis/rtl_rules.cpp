@@ -1,7 +1,6 @@
 #include "analysis/rtl_rules.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <set>
 
@@ -23,28 +22,6 @@ std::vector<int> occupied(const dfg::Dfg& g, const sched::Schedule& s,
   const int cycles = pipelined ? 1 : g.node(n).cycles;
   for (int st = start; st < start + cycles; ++st) out.push_back(fold(st));
   return out;
-}
-
-Diagnostic diag(std::string_view rule, EntityKind entity, Location loc,
-                std::string message, std::string fixit = "") {
-  Diagnostic d;
-  d.rule = std::string(rule);
-  d.severity = findRule(rule)->severity;
-  d.entity = entity;
-  d.loc = std::move(loc);
-  d.message = std::move(message);
-  d.fixit = std::move(fixit);
-  return d;
-}
-
-Location at(std::string node, int step = -1, int unit = -1,
-            std::string detail = "") {
-  Location l;
-  l.node = std::move(node);
-  l.step = step;
-  l.unit = unit;
-  l.detail = std::move(detail);
-  return l;
 }
 
 }  // namespace
@@ -154,28 +131,22 @@ LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
 
   // -- RTL009: wiring (unconnected mux inputs) ------------------------------
   for (const rtl::AluInstance& a : d.alus) {
-    const auto& arr = d.arrangement[static_cast<std::size_t>(a.index)];
+    const auto ai = static_cast<std::size_t>(a.index);
     for (NodeId op : a.ops) {
       const dfg::Node& n = g.node(op);
-      if (n.inputs.empty()) continue;
-      const bool swap = arr.swapped.count(op) ? arr.swapped.at(op) : false;
-      const NodeId l = swap && n.inputs.size() == 2 ? n.inputs[1] : n.inputs[0];
-      if (!d.leftPort[static_cast<std::size_t>(a.index)].selectOf.count({op, l}))
+      const alloc::MuxArrangement::Ports p = d.arrangement[ai].portSignals(n);
+      const auto check = [&](const alloc::PortWiring& w, NodeId signal,
+                             const char* port) {
+        if (signal == dfg::kNoNode || w.selectOf.count({op, signal})) return;
         r.add(diag(kRtlUnconnectedPort, EntityKind::Port,
-                   at(n.name, -1, a.index, g.node(l).name),
-                   util::format("ALU%d left port cannot deliver '%s' to '%s'",
-                                a.index, g.node(l).name.c_str(), n.name.c_str()),
+                   at(n.name, -1, a.index, g.node(signal).name),
+                   util::format("ALU%d %s port cannot deliver '%s' to '%s'",
+                                a.index, port, g.node(signal).name.c_str(),
+                                n.name.c_str()),
                    "rewire the port so every operand has a mux input"));
-      if (n.inputs.size() >= 2) {
-        const NodeId rsig = swap ? n.inputs[0] : n.inputs[1];
-        if (!d.rightPort[static_cast<std::size_t>(a.index)].selectOf.count({op, rsig}))
-          r.add(diag(kRtlUnconnectedPort, EntityKind::Port,
-                     at(n.name, -1, a.index, g.node(rsig).name),
-                     util::format("ALU%d right port cannot deliver '%s' to '%s'",
-                                  a.index, g.node(rsig).name.c_str(),
-                                  n.name.c_str()),
-                     "rewire the port so every operand has a mux input"));
-      }
+      };
+      check(d.leftPort[ai], p.left, "left");
+      check(d.rightPort[ai], p.right, "right");
     }
   }
   return r;
@@ -213,23 +184,19 @@ LintReport lintMicrocode(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
                          const rtl::MicrocodeRom& rom) {
   LintReport r;
 
-  // RTL012: field names must reference existing ALUs / registers.
+  // RTL012: fields must drive existing ALUs / registers.
+  using Kind = rtl::MicrocodeField::Kind;
   for (const rtl::MicrocodeField& f : rom.fields) {
-    int unit = -1;
-    bool known = false;
-    if (std::sscanf(f.name.c_str(), "alu%d.", &unit) == 1) {
-      known = unit >= 0 && unit < static_cast<int>(d.alus.size());
-    } else if (std::sscanf(f.name.c_str(), "R%d.", &unit) == 1) {
-      known = unit >= 0 && unit < static_cast<int>(d.regs.count());
-    } else if (f.name == "ctrl.next" || f.name == "ctrl.altNext") {
-      known = true;  // sequencer fields reference FSM states, not units
-    }
-    if (!known)
-      r.add(diag(kRtlBadFieldRef, EntityKind::Field,
-                 at("", -1, unit, f.name),
-                 util::format("microcode field '%s' references a nonexistent "
-                              "datapath component", f.name.c_str()),
-                 "regenerate the ROM from the current datapath"));
+    // Sequencer fields reference FSM states, not datapath units.
+    if (f.kind == Kind::Next || f.kind == Kind::AltNext) continue;
+    const std::size_t units =
+        f.kind == Kind::RegLoad ? d.regs.count() : d.alus.size();
+    if (f.unit >= 0 && static_cast<std::size_t>(f.unit) < units) continue;
+    r.add(diag(kRtlBadFieldRef, EntityKind::Field,
+               at("", -1, f.unit, f.name()),
+               util::format("microcode field '%s' references a nonexistent "
+                            "datapath component", f.name().c_str()),
+               "regenerate the ROM from the current datapath"));
   }
 
   // RTL013: shape and width consistency.
@@ -250,9 +217,9 @@ LintReport lintMicrocode(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
       const int v = rom.rows[row][f];
       if (v < -1 || (v >= 0 && v >= (1 << rom.fields[f].bits)))
         r.add(diag(kRtlFieldOverflow, EntityKind::Field,
-                   at("", static_cast<int>(row) + 1, -1, rom.fields[f].name),
+                   at("", static_cast<int>(row) + 1, -1, rom.fields[f].name()),
                    util::format("value %d does not fit field '%s' (%d bit(s))",
-                                v, rom.fields[f].name.c_str(),
+                                v, rom.fields[f].name().c_str(),
                                 rom.fields[f].bits)));
     }
   }

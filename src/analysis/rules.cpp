@@ -192,4 +192,25 @@ bool isRuleFamilyPrefix(std::string_view prefix) {
   return false;
 }
 
+Diagnostic diag(std::string_view rule, EntityKind entity, Location loc,
+                std::string message, std::string fixit) {
+  Diagnostic d;
+  d.rule = std::string(rule);
+  d.severity = findRule(rule)->severity;
+  d.entity = entity;
+  d.loc = std::move(loc);
+  d.message = std::move(message);
+  d.fixit = std::move(fixit);
+  return d;
+}
+
+Location at(std::string node, int step, int unit, std::string detail) {
+  Location l;
+  l.node = std::move(node);
+  l.step = step;
+  l.unit = unit;
+  l.detail = std::move(detail);
+  return l;
+}
+
 }  // namespace mframe::analysis

@@ -4,6 +4,7 @@
 // guarantee each id has coverage.
 #pragma once
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -32,6 +33,16 @@ const std::vector<std::string_view>& ruleFamilyPrefixes();
 /// True when `prefix` is the id-prefix of at least one registered rule
 /// (e.g. "TIM" matches TIM001..TIM004). Exact ids do not count as families.
 bool isRuleFamilyPrefix(std::string_view prefix);
+
+/// A diagnostic of `rule` at the rule's registered severity — the one
+/// builder every checker family emits through.
+Diagnostic diag(std::string_view rule, EntityKind entity, Location loc,
+                std::string message, std::string fixit = "");
+
+/// A location: offending node name, control step, unit index (FU column,
+/// ALU, register, bus or port) and free-form detail; -1 / "" when unknown.
+Location at(std::string node, int step = -1, int unit = -1,
+            std::string detail = "");
 
 // Stable rule ids. Rules are never renumbered; retired ids are not reused.
 // -- DFG family --------------------------------------------------------------

@@ -40,6 +40,11 @@ struct Walker {
   /// The port wiring serving operand `signal` of `reader` on ALU `alu`.
   /// Operand 0 prefers the left port so x*x and swapped commutative
   /// operands both land on the physical mux that actually carries them.
+  /// Deliberately not MuxArrangement::portSignals: timing finds each
+  /// operand where the wiring actually carries it (its natural port first,
+  /// then the other), so it also times wiring that disagrees with the
+  /// arrangement, and the port it names is part of the analyze and tune
+  /// reports.
   const alloc::PortWiring* portFor(int alu, NodeId reader, NodeId signal,
                                    std::size_t operandIndex,
                                    const char** sideName) const {

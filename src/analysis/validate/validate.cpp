@@ -8,6 +8,7 @@
 #include "analysis/rules.h"
 #include "analysis/validate/value_numbering.h"
 #include "rtl/bus.h"
+#include "rtl/step_index.h"
 #include "trace/trace.h"
 #include "util/strings.h"
 
@@ -16,28 +17,7 @@ namespace mframe::analysis {
 namespace {
 
 using dfg::NodeId;
-
-Diagnostic diag(std::string_view rule, EntityKind entity, Location loc,
-                std::string message, std::string fixit = "") {
-  Diagnostic d;
-  d.rule = std::string(rule);
-  d.severity = findRule(rule)->severity;
-  d.entity = entity;
-  d.loc = std::move(loc);
-  d.message = std::move(message);
-  d.fixit = std::move(fixit);
-  return d;
-}
-
-Location at(std::string node, int step = -1, int unit = -1,
-            std::string detail = "") {
-  Location l;
-  l.node = std::move(node);
-  l.step = step;
-  l.unit = unit;
-  l.detail = std::move(detail);
-  return l;
-}
+using FieldKind = rtl::MicrocodeField::Kind;
 
 /// The symbolic machine. One instance per proveDatapath call; `run` drives
 /// the static cross-checks, the per-step symbolic execution and the final
@@ -46,11 +26,12 @@ class Prover {
  public:
   Prover(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
          const rtl::MicrocodeRom& rom)
-      : d_(d), fsm_(fsm), rom_(rom), g_(*d.graph) {}
+      : d_(d), fsm_(fsm), rom_(rom), g_(*d.graph), idx_(d, fsm) {}
 
   LintReport run() {
     ideal_ = vn_.numberGraph(g_);
     busAssign_ = rtl::busAssignmentPerStep(d_, fsm_);
+    resolveRom();
     checkIssueTable();
     checkLoadTable();
     checkRom();
@@ -64,6 +45,12 @@ class Prover {
     Vn value = kNoVn;
     NodeId occupant = dfg::kNoNode;
     int death = -1;
+  };
+
+  /// One ALU's ROM field handles (-1: no such field) and opcode encoding.
+  struct AluFields {
+    int op = -1, selL = -1, selR = -1;
+    std::vector<dfg::OpKind> opcodes;
   };
 
   const std::string& nameOf(NodeId id) const { return g_.node(id).name; }
@@ -86,6 +73,19 @@ class Prover {
 
   bool aluInRange(int alu) const {
     return alu >= 0 && alu < static_cast<int>(d_.alus.size());
+  }
+
+  /// Every field handle the checks read, resolved once per unit.
+  void resolveRom() {
+    for (int alu = 0; alu < static_cast<int>(d_.alus.size()); ++alu) {
+      AluFields f{rom_.fieldOf(FieldKind::Opcode, alu),
+                  rom_.fieldOf(FieldKind::SelL, alu),
+                  rom_.fieldOf(FieldKind::SelR, alu), {}};
+      if (f.op >= 0) f.opcodes = rtl::aluOpcodes(d_, alu);
+      aluFields_.push_back(std::move(f));
+    }
+    for (int reg = 0; reg < static_cast<int>(d_.regs.count()); ++reg)
+      loadField_.push_back(rom_.fieldOf(FieldKind::RegLoad, reg));
   }
 
   // -- static cross-checks: schedule vs controller vs ROM (EQV005) -----------
@@ -180,20 +180,23 @@ class Prover {
     }
     for (const rtl::MicroOp& m : fsm_.microOps) {
       if (m.step < 1 || m.step > fsm_.numSteps || !aluInRange(m.alu)) continue;
-      const std::string field = util::format("alu%d.op", m.alu);
-      if (rom_.fieldIndex(field) < 0) continue;  // single-function ALU
-      const std::vector<dfg::OpKind> codes = rtl::aluOpcodes(d_, m.alu);
+      const AluFields& f = aluFields_[static_cast<std::size_t>(m.alu)];
+      if (f.op < 0) continue;  // single-function ALU
+      const std::vector<dfg::OpKind>& codes = f.opcodes;
       const auto want =
           std::find(codes.begin(), codes.end(), g_.node(m.op).kind);
       if (want == codes.end()) continue;  // binding defect; RTL003's turf
-      const std::optional<int> got = rom_.valueAt(m.step, field);
+      const std::optional<int> got = rom_.valueAt(m.step, f.op);
+      if (got && *got == static_cast<int>(want - codes.begin())) continue;
+      const std::string field =
+          rtl::MicrocodeField{FieldKind::Opcode, m.alu}.name();
       if (!got)
         r_.add(diag(kEqvStepDisagreement, EntityKind::Field,
                     at(nameOf(m.op), m.step, m.alu, field),
                     util::format("step %d issues '%s' but field %s holds a "
                                  "don't-care", m.step, nameOf(m.op).c_str(),
                                  field.c_str())));
-      else if (*got != static_cast<int>(want - codes.begin()))
+      else
         r_.add(diag(kEqvStepDisagreement, EntityKind::Field,
                     at(nameOf(m.op), m.step, m.alu, field),
                     util::format("ROM opcode %d in step %d selects '%s' but "
@@ -207,15 +210,17 @@ class Prover {
     std::set<std::pair<int, int>> loads;  // (step, reg)
     for (const rtl::RegLoad& rl : fsm_.regLoads)
       if (rl.step >= 1) loads.insert({rl.step, rl.reg});
-    for (std::size_t reg = 0; reg < d_.regs.count(); ++reg) {
-      const std::string field = util::format("R%zu.load", reg);
-      if (rom_.fieldIndex(field) < 0) continue;
+    for (int reg = 0; reg < static_cast<int>(loadField_.size()); ++reg) {
+      const int f = loadField_[static_cast<std::size_t>(reg)];
+      if (f < 0) continue;
       for (int t = 1; t <= fsm_.numSteps; ++t) {
-        const bool bit = rom_.valueAt(t, field).value_or(0) == 1;
-        const bool expected = loads.count({t, static_cast<int>(reg)}) > 0;
+        const bool bit = rom_.valueAt(t, f).value_or(0) == 1;
+        const bool expected = loads.count({t, reg}) > 0;
         if (bit == expected) continue;
+        const std::string field =
+            rtl::MicrocodeField{FieldKind::RegLoad, reg}.name();
         r_.add(diag(kEqvStepDisagreement, EntityKind::Field,
-                    at("", t, static_cast<int>(reg), field),
+                    at("", t, reg, field),
                     bit ? util::format("ROM asserts %s in step %d but no "
                                        "value is latched there",
                                        field.c_str(), t)
@@ -266,15 +271,11 @@ class Prover {
     bool defer = false;
   };
 
+  /// Read operand `signal` of issue `m` through its left or right port.
   ReadResult readOperand(const rtl::MicroOp& m, int t, bool left,
-                         bool allowDefer) {
+                         NodeId signal, bool allowDefer) {
     const dfg::Node& n = g_.node(m.op);
     const auto ai = static_cast<std::size_t>(m.alu);
-    const auto& arr = d_.arrangement[ai];
-    const bool swap = arr.swapped.count(m.op) ? arr.swapped.at(m.op) : false;
-    const NodeId signal =
-        left ? (swap && n.inputs.size() == 2 ? n.inputs[1] : n.inputs[0])
-             : (swap ? n.inputs[0] : n.inputs[1]);
     const alloc::PortWiring& w = left ? d_.leftPort[ai] : d_.rightPort[ai];
 
     auto sel = w.selectOf.find({m.op, signal});
@@ -288,10 +289,13 @@ class Prover {
     }
     const int expectedSel = static_cast<int>(sel->second);
     int actualSel = expectedSel;
-    const std::string field =
-        util::format("alu%d.%s", m.alu, left ? "selL" : "selR");
     const std::optional<int> romSel =
-        romUsable_ ? rom_.valueAt(t, field) : std::nullopt;
+        romUsable_ ? rom_.valueAt(t, left ? aluFields_[ai].selL
+                                          : aluFields_[ai].selR)
+                   : std::nullopt;
+    // Named even where the port has no select field (a single source).
+    const rtl::MicrocodeField field{left ? FieldKind::SelL : FieldKind::SelR,
+                                    m.alu};
     if (romSel) {
       actualSel = *romSel;
     } else {
@@ -300,7 +304,7 @@ class Prover {
     }
     if (actualSel < 0 || actualSel >= static_cast<int>(w.sources.size())) {
       Diagnostic d = diag(
-          kEqvMuxRoute, EntityKind::Port, at(n.name, t, m.alu, field),
+          kEqvMuxRoute, EntityKind::Port, at(n.name, t, m.alu, field.name()),
           util::format("%s port select %d of ALU%d is outside its %zu-way "
                        "mux", left ? "left" : "right", actualSel, m.alu,
                        w.sources.size()));
@@ -311,7 +315,7 @@ class Prover {
     const alloc::Source& src = w.sources[static_cast<std::size_t>(actualSel)];
     if (actualSel != expectedSel) {
       Diagnostic d = diag(
-          kEqvMuxRoute, EntityKind::Port, at(n.name, t, m.alu, field),
+          kEqvMuxRoute, EntityKind::Port, at(n.name, t, m.alu, field.name()),
           util::format("%s port of ALU%d issues select %d (%s) but the "
                        "binding routes '%s' through select %d (%s)",
                        left ? "left" : "right", m.alu, actualSel,
@@ -393,32 +397,27 @@ class Prover {
   /// step (caller retries later in the worklist round).
   bool executeOp(const rtl::MicroOp& m, int t, bool allowDefer) {
     const dfg::Node& n = g_.node(m.op);
+    const alloc::MuxArrangement::Ports p =
+        d_.arrangement[static_cast<std::size_t>(m.alu)].portSignals(n);
     Vn va = kNoVn, vb = kNoVn;
-    if (!n.inputs.empty()) {
-      const ReadResult ra = readOperand(m, t, true, allowDefer);
+    if (p.left != dfg::kNoNode) {
+      const ReadResult ra = readOperand(m, t, true, p.left, allowDefer);
       if (ra.defer) return false;
       va = ra.vn;
-      if (n.inputs.size() >= 2) {
-        const ReadResult rb = readOperand(m, t, false, allowDefer);
-        if (rb.defer) return false;
-        vb = rb.vn;
-      }
+    }
+    if (p.right != dfg::kNoNode) {
+      const ReadResult rb = readOperand(m, t, false, p.right, allowDefer);
+      if (rb.defer) return false;
+      vb = rb.vn;
     }
 
     Vn result;
     if (n.kind == dfg::OpKind::LoopSuper) {
       // A folded loop body is uninterpreted: its result is only provably
       // right when both operands provably are.
-      const auto ai = static_cast<std::size_t>(m.alu);
-      const auto& arr = d_.arrangement[ai];
-      const bool swap = arr.swapped.count(m.op) ? arr.swapped.at(m.op) : false;
-      bool matched = true;
-      if (!n.inputs.empty()) {
-        const NodeId l = swap && n.inputs.size() == 2 ? n.inputs[1] : n.inputs[0];
-        matched = va == ideal_[l];
-        if (n.inputs.size() >= 2)
-          matched = matched && vb == ideal_[swap ? n.inputs[0] : n.inputs[1]];
-      }
+      const bool matched =
+          (p.left == dfg::kNoNode || va == ideal_[p.left]) &&
+          (p.right == dfg::kNoNode || vb == ideal_[p.right]);
       result = matched ? ideal_[m.op] : vn_.fresh();
     } else {
       result = vn_.ofOp(n.kind, va, vb);
@@ -434,8 +433,8 @@ class Prover {
   }
 
   void latch(int t) {
-    for (const rtl::RegLoad& rl : fsm_.regLoads) {
-      if (rl.step != t) continue;
+    for (const rtl::RegLoad* load : idx_.loads[static_cast<std::size_t>(t)]) {
+      const rtl::RegLoad& rl = *load;
       if (rl.reg < 0 || rl.reg >= static_cast<int>(regs_.size())) continue;
       Vn v = vn_.fresh();
       if (rl.fromAlu >= 0) {
@@ -479,8 +478,8 @@ class Prover {
   void execute() {
     regs_.assign(d_.regs.count(), RegState{});
     // Reset state: primary inputs preload their registers.
-    for (const rtl::RegLoad& rl : fsm_.regLoads) {
-      if (rl.step != 0) continue;
+    for (const rtl::RegLoad* load : idx_.loads[0]) {
+      const rtl::RegLoad& rl = *load;
       if (rl.reg < 0 || rl.reg >= static_cast<int>(regs_.size())) continue;
       const dfg::Node& n = g_.node(rl.signal);
       if (n.kind != dfg::OpKind::Input) {
@@ -513,10 +512,9 @@ class Prover {
       }
 
       std::vector<const rtl::MicroOp*> todo;
-      for (const rtl::MicroOp& m : fsm_.microOps)
-        if (m.step == t && aluInRange(m.alu) &&
-            dfg::isSchedulable(g_.node(m.op).kind))
-          todo.push_back(&m);
+      for (const rtl::MicroOp* m : idx_.issues[static_cast<std::size_t>(t)])
+        if (aluInRange(m->alu) && dfg::isSchedulable(g_.node(m->op).kind))
+          todo.push_back(m);
       // Chained reads wait for their producer's issue within the same step,
       // so iterate to a fixpoint before declaring a combinational deadlock.
       bool progress = true;
@@ -588,12 +586,15 @@ class Prover {
   const rtl::ControllerFsm& fsm_;
   const rtl::MicrocodeRom& rom_;
   const dfg::Dfg& g_;
+  const rtl::StepIndex idx_;
 
   LintReport r_;
   ValueNumbering vn_;
   std::vector<Vn> ideal_;
   std::vector<std::map<alloc::Source, int>> busAssign_;
   bool romUsable_ = false;
+  std::vector<AluFields> aluFields_;  ///< index = ALU
+  std::vector<int> loadField_;        ///< index = register
 
   std::vector<RegState> regs_;
   std::map<int, std::vector<std::pair<NodeId, Vn>>> aluNow_;

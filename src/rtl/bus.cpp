@@ -28,11 +28,9 @@ std::vector<Transfer> collectTransfers(const Datapath& d,
   std::vector<Transfer> transfers;
 
   for (const MicroOp& m : fsm.microOps) {
-    const dfg::Node& n = g.node(m.op);
-    if (n.inputs.empty()) continue;
     const auto ai = static_cast<std::size_t>(m.alu);
-    const auto& arr = d.arrangement[ai];
-    const bool swap = arr.swapped.count(m.op) ? arr.swapped.at(m.op) : false;
+    const alloc::MuxArrangement::Ports p =
+        d.arrangement[ai].portSignals(g.node(m.op));
     auto addRead = [&](bool leftPort, dfg::NodeId signal) {
       const auto& w = leftPort ? d.leftPort[ai] : d.rightPort[ai];
       auto sel = w.selectOf.find({m.op, signal});
@@ -44,10 +42,8 @@ std::vector<Transfer> collectTransfers(const Datapath& d,
         return;
       transfers.push_back({m.step, src, m.alu, leftPort});
     };
-    const dfg::NodeId l = swap && n.inputs.size() == 2 ? n.inputs[1] : n.inputs[0];
-    addRead(true, l);
-    if (n.inputs.size() >= 2)
-      addRead(false, swap ? n.inputs[0] : n.inputs[1]);
+    if (p.left != dfg::kNoNode) addRead(true, p.left);
+    if (p.right != dfg::kNoNode) addRead(false, p.right);
   }
   return transfers;
 }

@@ -13,31 +13,26 @@ ControllerFsm buildController(const Datapath& d) {
   const dfg::Dfg& g = *d.graph;
   f.numSteps = d.schedule.numSteps();
 
+  // A port's select: the mux input routing `signal` into `op`, or -1 when
+  // the port has no mux or the op reads nothing through it.
+  const auto selectOf = [](const alloc::PortWiring& w, dfg::NodeId op,
+                           dfg::NodeId signal) {
+    const auto it = w.selectOf.find({op, signal});
+    return it != w.selectOf.end() && w.sources.size() > 1
+               ? static_cast<int>(it->second)
+               : -1;
+  };
   for (const AluInstance& a : d.alus) {
-    const auto& arr = d.arrangement[static_cast<std::size_t>(a.index)];
+    const auto ai = static_cast<std::size_t>(a.index);
     for (dfg::NodeId op : a.ops) {
-      const dfg::Node& n = g.node(op);
+      const alloc::MuxArrangement::Ports p =
+          d.arrangement[ai].portSignals(g.node(op));
       MicroOp m;
       m.step = d.schedule.stepOf(op);
       m.alu = a.index;
       m.op = op;
-      if (!n.inputs.empty()) {
-        const bool swap =
-            arr.swapped.count(op) ? arr.swapped.at(op) : false;
-        const dfg::NodeId l =
-            swap && n.inputs.size() == 2 ? n.inputs[1] : n.inputs[0];
-        const auto& lp = d.leftPort[static_cast<std::size_t>(a.index)];
-        auto it = lp.selectOf.find({op, l});
-        if (it != lp.selectOf.end() && lp.sources.size() > 1)
-          m.leftSelect = static_cast<int>(it->second);
-        if (n.inputs.size() >= 2) {
-          const dfg::NodeId r = swap ? n.inputs[0] : n.inputs[1];
-          const auto& rp = d.rightPort[static_cast<std::size_t>(a.index)];
-          auto rit = rp.selectOf.find({op, r});
-          if (rit != rp.selectOf.end() && rp.sources.size() > 1)
-            m.rightSelect = static_cast<int>(rit->second);
-        }
-      }
+      m.leftSelect = selectOf(d.leftPort[ai], op, p.left);
+      m.rightSelect = selectOf(d.rightPort[ai], op, p.right);
       f.microOps.push_back(m);
     }
   }
@@ -101,6 +96,8 @@ bool ControllerFsm::linearControl() const {
   return true;
 }
 
+// Filters the flat vectors per state rather than using StepIndex: the FSM
+// alone has no datapath to index, and only `--controller` prints this.
 std::string ControllerFsm::toString(const dfg::Dfg& g) const {
   std::string out = util::format("controller FSM, %d states\n", numSteps);
   for (int s = 0; s <= numSteps; ++s) {

@@ -56,15 +56,9 @@ Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 
     std::vector<std::pair<dfg::NodeId, dfg::NodeId>> leftReads, rightReads;
     for (dfg::NodeId op : a.ops) {
-      const dfg::Node& n = g.node(op);
-      if (n.inputs.empty()) continue;
-      const bool swap = arr.swapped.count(op) ? arr.swapped.at(op) : false;
-      const dfg::NodeId l = swap ? n.inputs[1] : n.inputs[0];
-      leftReads.emplace_back(op, l);
-      if (n.inputs.size() >= 2) {
-        const dfg::NodeId r = swap ? n.inputs[0] : n.inputs[1];
-        rightReads.emplace_back(op, r);
-      }
+      const alloc::MuxArrangement::Ports p = arr.portSignals(g.node(op));
+      if (p.left != dfg::kNoNode) leftReads.emplace_back(op, p.left);
+      if (p.right != dfg::kNoNode) rightReads.emplace_back(op, p.right);
     }
     d.leftPort.push_back(alloc::wirePort(resolver, leftReads));
     d.rightPort.push_back(alloc::wirePort(resolver, rightReads));

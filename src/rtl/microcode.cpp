@@ -1,8 +1,6 @@
 #include "rtl/microcode.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
 #include <set>
 
 #include "util/strings.h"
@@ -30,40 +28,33 @@ int MicrocodeRom::wordBits() const {
   return total;
 }
 
-int MicrocodeRom::fieldIndex(std::string_view name) const {
+std::string MicrocodeField::name() const {
+  switch (kind) {
+    case Kind::Opcode: return util::format("alu%d.op", unit);
+    case Kind::SelL: return util::format("alu%d.selL", unit);
+    case Kind::SelR: return util::format("alu%d.selR", unit);
+    case Kind::RegLoad: return util::format("R%d.load", unit);
+    case Kind::Next: return "ctrl.next";
+    case Kind::AltNext: return "ctrl.altNext";
+  }
+  return "";
+}
+
+int MicrocodeRom::fieldOf(MicrocodeField::Kind kind, int unit) const {
   for (std::size_t f = 0; f < fields.size(); ++f)
-    if (fields[f].name == name) return static_cast<int>(f);
+    if (fields[f].kind == kind && fields[f].unit == unit)
+      return static_cast<int>(f);
   return -1;
 }
 
-std::optional<int> MicrocodeRom::valueAt(int step, std::string_view name) const {
-  const int f = fieldIndex(name);
-  if (f < 0 || step < 1 || step > static_cast<int>(rows.size()))
+std::optional<int> MicrocodeRom::valueAt(int step, int field) const {
+  if (field < 0 || step < 1 || step > static_cast<int>(rows.size()))
     return std::nullopt;
-  const int v = rows[static_cast<std::size_t>(step - 1)][static_cast<std::size_t>(f)];
+  const auto& row = rows[static_cast<std::size_t>(step - 1)];
+  if (field >= static_cast<int>(row.size())) return std::nullopt;
+  const int v = row[static_cast<std::size_t>(field)];
   if (v < 0) return std::nullopt;
   return v;
-}
-
-std::optional<std::vector<int>> MicrocodeRom::successorsAt(int step) const {
-  if (fieldIndex("ctrl.next") < 0) return std::nullopt;
-  std::vector<int> out;
-  for (const char* field : {"ctrl.next", "ctrl.altNext"}) {
-    const std::optional<int> v = valueAt(step, field);
-    // Value 0 encodes halt; 1..words name the target row.
-    if (v && *v >= 1 && *v <= words) out.push_back(*v);
-  }
-  return out;
-}
-
-std::vector<int> MicrocodeRom::regLoadsAt(int step) const {
-  std::vector<int> out;
-  for (const MicrocodeField& f : fields) {
-    int reg = -1;
-    if (std::sscanf(f.name.c_str(), "R%d.load", &reg) != 1) continue;
-    if (valueAt(step, f.name).value_or(0) == 1) out.push_back(reg);
-  }
-  return out;
 }
 
 std::vector<dfg::OpKind> aluOpcodes(const Datapath& d, int alu) {
@@ -76,79 +67,59 @@ std::vector<dfg::OpKind> aluOpcodes(const Datapath& d, int alu) {
 }
 
 MicrocodeRom buildMicrocode(const Datapath& d, const ControllerFsm& fsm) {
+  using Kind = MicrocodeField::Kind;
   MicrocodeRom rom;
   rom.words = fsm.numSteps;
   const dfg::Dfg& g = *d.graph;
-
-  // Per-ALU opcode encoding: distinct op kinds performed by that ALU.
-  std::vector<std::vector<dfg::OpKind>> opcodeOf(d.alus.size());
-  for (const AluInstance& a : d.alus)
-    opcodeOf[static_cast<std::size_t>(a.index)] = aluOpcodes(d, a.index);
-
-  // Field layout: [aluK.op][aluK.selL][aluK.selR] ... [Rj.load] ...
-  struct FieldRef {
-    enum class Kind { Opcode, SelL, SelR, RegLoad } kind;
-    int unit;
+  const auto addField = [&](Kind kind, int unit, int bits) {
+    rom.fields.push_back({kind, unit, bits});
+    return static_cast<int>(rom.fields.size()) - 1;
   };
-  std::vector<FieldRef> refs;
+
+  // Field layout: [aluK.op][aluK.selL][aluK.selR] ... [Rj.load] ..., with
+  // each unit's handles (-1: no field) kept for the row fill. The opcode
+  // encoding of an ALU is the distinct op kinds it performs.
+  struct AluFields {
+    std::vector<dfg::OpKind> opcodes;
+    int op = -1, selL = -1, selR = -1;
+  };
+  std::vector<AluFields> alu(d.alus.size());
   for (const AluInstance& a : d.alus) {
     const auto ai = static_cast<std::size_t>(a.index);
-    const int opBits = bitsFor(opcodeOf[ai].size());
-    if (opBits > 0) {
-      rom.fields.push_back({util::format("alu%d.op", a.index), opBits});
-      refs.push_back({FieldRef::Kind::Opcode, a.index});
-    }
-    if (d.leftPort[ai].sources.size() > 1) {
-      rom.fields.push_back({util::format("alu%d.selL", a.index),
-                            bitsFor(d.leftPort[ai].sources.size())});
-      refs.push_back({FieldRef::Kind::SelL, a.index});
-    }
-    if (d.rightPort[ai].sources.size() > 1) {
-      rom.fields.push_back({util::format("alu%d.selR", a.index),
-                            bitsFor(d.rightPort[ai].sources.size())});
-      refs.push_back({FieldRef::Kind::SelR, a.index});
-    }
+    AluFields& f = alu[ai];
+    f.opcodes = aluOpcodes(d, a.index);
+    if (f.opcodes.size() > 1)
+      f.op = addField(Kind::Opcode, a.index, bitsFor(f.opcodes.size()));
+    if (d.leftPort[ai].sources.size() > 1)
+      f.selL = addField(Kind::SelL, a.index,
+                        bitsFor(d.leftPort[ai].sources.size()));
+    if (d.rightPort[ai].sources.size() > 1)
+      f.selR = addField(Kind::SelR, a.index,
+                        bitsFor(d.rightPort[ai].sources.size()));
   }
-  for (std::size_t r = 0; r < d.regs.count(); ++r) {
-    rom.fields.push_back({util::format("R%zu.load", r), 1});
-    refs.push_back({FieldRef::Kind::RegLoad, static_cast<int>(r)});
-  }
+  std::vector<int> load(d.regs.count());
+  for (std::size_t r = 0; r < load.size(); ++r)
+    load[r] = addField(Kind::RegLoad, static_cast<int>(r), 1);
 
   rom.rows.assign(static_cast<std::size_t>(fsm.numSteps),
                   std::vector<int>(rom.fields.size(), -1));
-  auto rowOf = [&](int step) -> std::vector<int>& {
-    return rom.rows[static_cast<std::size_t>(step - 1)];
+  auto cell = [&](int step, int field) -> int& {
+    return rom.rows[static_cast<std::size_t>(step - 1)]
+                   [static_cast<std::size_t>(field)];
   };
 
   for (const MicroOp& m : fsm.microOps) {
-    const auto ai = static_cast<std::size_t>(m.alu);
-    for (std::size_t f = 0; f < refs.size(); ++f) {
-      if (refs[f].unit != m.alu) continue;
-      switch (refs[f].kind) {
-        case FieldRef::Kind::Opcode: {
-          const auto& codes = opcodeOf[ai];
-          const auto it =
-              std::find(codes.begin(), codes.end(), g.node(m.op).kind);
-          rowOf(m.step)[f] = static_cast<int>(it - codes.begin());
-          break;
-        }
-        case FieldRef::Kind::SelL:
-          if (m.leftSelect >= 0) rowOf(m.step)[f] = m.leftSelect;
-          break;
-        case FieldRef::Kind::SelR:
-          if (m.rightSelect >= 0) rowOf(m.step)[f] = m.rightSelect;
-          break;
-        case FieldRef::Kind::RegLoad:
-          break;
-      }
-    }
+    const AluFields& f = alu[static_cast<std::size_t>(m.alu)];
+    if (f.op >= 0)
+      cell(m.step, f.op) = static_cast<int>(
+          std::find(f.opcodes.begin(), f.opcodes.end(), g.node(m.op).kind) -
+          f.opcodes.begin());
+    if (f.selL >= 0 && m.leftSelect >= 0) cell(m.step, f.selL) = m.leftSelect;
+    if (f.selR >= 0 && m.rightSelect >= 0) cell(m.step, f.selR) = m.rightSelect;
   }
-  for (const RegLoad& rl : fsm.regLoads) {
-    if (rl.step < 1) continue;  // input preloads ride reset, not the ROM
-    for (std::size_t f = 0; f < refs.size(); ++f)
-      if (refs[f].kind == FieldRef::Kind::RegLoad && refs[f].unit == rl.reg)
-        rowOf(rl.step)[f] = 1;
-  }
+  for (const RegLoad& rl : fsm.regLoads)
+    if (rl.step >= 1)  // input preloads ride reset, not the ROM
+      cell(rl.step, load[static_cast<std::size_t>(rl.reg)]) = 1;
 
   // Control-transfer fields: linear controllers need none (every word falls
   // through to the next), so they appear only when the FSM deviates —
@@ -158,17 +129,13 @@ MicrocodeRom buildMicrocode(const Datapath& d, const ControllerFsm& fsm) {
     bool needAlt = false;
     for (int s = 1; s <= fsm.numSteps; ++s)
       needAlt = needAlt || fsm.successorsOf(s).size() > 1;
-    rom.fields.push_back({"ctrl.next", ctrlBits});
-    if (needAlt) rom.fields.push_back({"ctrl.altNext", ctrlBits});
-    const int nextF = rom.fieldIndex("ctrl.next");
-    const int altF = rom.fieldIndex("ctrl.altNext");
+    const int nextF = addField(Kind::Next, -1, ctrlBits);
+    const int altF = needAlt ? addField(Kind::AltNext, -1, ctrlBits) : -1;
     for (auto& row : rom.rows) row.resize(rom.fields.size(), -1);
     for (int s = 1; s <= fsm.numSteps; ++s) {
       const std::vector<int> succ = fsm.successorsOf(s);
-      auto& row = rowOf(s);
-      row[static_cast<std::size_t>(nextF)] = succ.empty() ? 0 : succ[0];
-      if (altF >= 0 && succ.size() > 1)
-        row[static_cast<std::size_t>(altF)] = succ[1];
+      cell(s, nextF) = succ.empty() ? 0 : succ[0];
+      if (altF >= 0 && succ.size() > 1) cell(s, altF) = succ[1];
     }
   }
   return rom;
@@ -178,7 +145,7 @@ std::string MicrocodeRom::toString() const {
   std::string out = util::format("microcode ROM: %d words x %d bits = %d bits\n",
                                  words, wordBits(), totalBits());
   out += "  fields:";
-  for (const auto& f : fields) out += util::format(" %s[%d]", f.name.c_str(), f.bits);
+  for (const auto& f : fields) out += util::format(" %s[%d]", f.name().c_str(), f.bits);
   out += "\n";
   for (std::size_t r = 0; r < rows.size(); ++r) {
     out += util::format("  step %2zu:", r + 1);

@@ -8,11 +8,14 @@
 // plus one load-enable bit per register. ALUs with a single operation need
 // no opcode bits, ports with a single source no select bits — exactly the
 // places where datapath sharing buys controller area too.
+//
+// A field's role is data: its kind and the ALU or register it drives. The
+// printed name ("alu2.selL", "R5.load") is derived from the two. Readers
+// resolve one handle per (kind, unit) with fieldOf and index rows by it.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "rtl/controller.h"
@@ -21,43 +24,47 @@
 namespace mframe::rtl {
 
 struct MicrocodeField {
-  std::string name;
+  enum class Kind {
+    Opcode,   ///< "alu<k>.op": index into aluOpcodes(d, k)
+    SelL,     ///< "alu<k>.selL": left-port mux select
+    SelR,     ///< "alu<k>.selR": right-port mux select
+    RegLoad,  ///< "R<j>.load": load enable of register j
+    Next,     ///< "ctrl.next": target row, 0 = halt
+    AltNext,  ///< "ctrl.altNext": a branching row's second target
+  };
+  Kind kind = Kind::Opcode;
+  int unit = -1;  ///< ALU or register index; -1 for the sequencer fields
   int bits = 0;
+
+  std::string name() const;
 };
 
 struct MicrocodeRom {
   int words = 0;  ///< one control word per control step
   std::vector<MicrocodeField> fields;
-  /// rows[step-1][fieldIndex] = value (-1 = don't care / idle).
+  /// rows[step-1][field] = value (-1 = don't care / idle).
   std::vector<std::vector<int>> rows;
 
   int wordBits() const;
   int totalBits() const { return words * wordBits(); }
   double areaEstimate(double umPerBit = 12.0) const { return totalBits() * umPerBit; }
 
-  /// Index of the field named `name`, or -1 when absent (single-source ports
-  /// and single-op ALUs have no field at all).
-  int fieldIndex(std::string_view name) const;
+  /// Handle (index into `fields` and into each row) of the `kind` field of
+  /// `unit`, or -1 when absent: single-source ports and single-op ALUs have
+  /// no field at all. A linear scan, since `fields` is public and an index
+  /// cached beside it could go stale; callers resolve one handle per unit.
+  int fieldOf(MicrocodeField::Kind kind, int unit = -1) const;
 
-  /// The encoded value of field `name` in control step `step` (1-based), or
-  /// nullopt when the field does not exist, the step is out of range, or the
-  /// row holds a don't-care.
-  std::optional<int> valueAt(int step, std::string_view name) const;
-
-  /// Decoded control-transfer targets of row `step` (1-based): the
-  /// "ctrl.next" / "ctrl.altNext" field values, in that order, with the halt
-  /// encoding (0) dropped. nullopt when the ROM carries no transfer fields —
-  /// linear control, fall through to step+1 (halt after the last row).
-  std::optional<std::vector<int>> successorsAt(int step) const;
-
-  /// Register indices whose load-enable bit is asserted in row `step`.
-  std::vector<int> regLoadsAt(int step) const;
+  /// The encoded value of handle `field` in control step `step` (1-based),
+  /// or nullopt when the handle is -1, the step or handle is out of range,
+  /// or the row holds a don't-care.
+  std::optional<int> valueAt(int step, int field) const;
 
   std::string toString() const;
 };
 
 /// The distinct op kinds ALU `alu` performs, in the microcode's opcode
-/// encoding order (the value in field "alu<k>.op" indexes this list).
+/// encoding order (the value of its Opcode field indexes this list).
 std::vector<dfg::OpKind> aluOpcodes(const Datapath& d, int alu);
 
 MicrocodeRom buildMicrocode(const Datapath& d, const ControllerFsm& fsm);

@@ -1,34 +1,31 @@
-#include "analysis/audit/step_index.h"
+#include "rtl/step_index.h"
 
 #include <algorithm>
 #include <tuple>
 
-namespace mframe::analysis::audit {
+namespace mframe::rtl {
 
-StepIndex::StepIndex(const rtl::Datapath& dp, const rtl::ControllerFsm& f)
+StepIndex::StepIndex(const Datapath& dp, const ControllerFsm& f)
     : d(&dp), fsm(&f), numRegs(dp.regs.count()) {
   const auto n = static_cast<std::size_t>(f.numSteps) + 1;
   issues.resize(n);
   loads.resize(n);
-  for (const rtl::MicroOp& m : f.microOps)
+  for (const MicroOp& m : f.microOps)
     if (m.step >= 0 && m.step <= f.numSteps)
       issues[static_cast<std::size_t>(m.step)].push_back(&m);
-  for (const rtl::RegLoad& rl : f.regLoads)
+  for (const RegLoad& rl : f.regLoads)
     if (rl.step >= 0 && rl.step <= f.numSteps)
       loads[static_cast<std::size_t>(rl.step)].push_back(&rl);
   // Canonical row order, independent of how .bind edits shuffled the
   // source vectors: grouping and report order depend on it.
   for (auto& row : issues)
-    std::sort(row.begin(), row.end(),
-              [](const rtl::MicroOp* a, const rtl::MicroOp* b) {
-                return std::tie(a->alu, a->op) < std::tie(b->alu, b->op);
-              });
+    std::sort(row.begin(), row.end(), [](const MicroOp* a, const MicroOp* b) {
+      return std::tie(a->alu, a->op) < std::tie(b->alu, b->op);
+    });
   for (auto& row : loads)
-    std::sort(row.begin(), row.end(),
-              [](const rtl::RegLoad* a, const rtl::RegLoad* b) {
-                return std::tie(a->reg, a->signal) <
-                       std::tie(b->reg, b->signal);
-              });
+    std::sort(row.begin(), row.end(), [](const RegLoad* a, const RegLoad* b) {
+      return std::tie(a->reg, a->signal) < std::tie(b->reg, b->signal);
+    });
 }
 
 const alloc::Source* StepIndex::wiredSource(dfg::NodeId op,
@@ -39,13 +36,11 @@ const alloc::Source* StepIndex::wiredSource(dfg::NodeId op,
   return s;
 }
 
-std::vector<PortRead> readsOf(const StepIndex& idx, const rtl::MicroOp& m) {
+std::vector<PortRead> readsOf(const StepIndex& idx, const MicroOp& m) {
   std::vector<PortRead> out;
-  const dfg::Node& n = idx.d->graph->node(m.op);
-  if (n.inputs.empty()) return out;
   const auto alu = static_cast<std::size_t>(m.alu);
-  const auto& arr = idx.d->arrangement[alu];
-  const bool swap = arr.swapped.count(m.op) ? arr.swapped.at(m.op) : false;
+  const alloc::MuxArrangement::Ports p =
+      idx.d->arrangement[alu].portSignals(idx.d->graph->node(m.op));
 
   const auto resolve = [&](const alloc::PortWiring& w, int sel,
                            dfg::NodeId sig, const char* port) {
@@ -61,14 +56,11 @@ std::vector<PortRead> readsOf(const StepIndex& idx, const rtl::MicroOp& m) {
     if (src != nullptr) out.push_back({port, sig, src, eff});
   };
 
-  const dfg::NodeId l =
-      swap && n.inputs.size() == 2 ? n.inputs[1] : n.inputs[0];
-  resolve(idx.d->leftPort[alu], m.leftSelect, l, "left");
-  if (n.inputs.size() >= 2) {
-    const dfg::NodeId rsig = swap ? n.inputs[0] : n.inputs[1];
-    resolve(idx.d->rightPort[alu], m.rightSelect, rsig, "right");
-  }
+  if (p.left != dfg::kNoNode)
+    resolve(idx.d->leftPort[alu], m.leftSelect, p.left, "left");
+  if (p.right != dfg::kNoNode)
+    resolve(idx.d->rightPort[alu], m.rightSelect, p.right, "right");
   return out;
 }
 
-}  // namespace mframe::analysis::audit
+}  // namespace mframe::rtl

@@ -1,8 +1,10 @@
 // The design folded into per-state issue/latch tables plus operand wiring —
-// the shared substrate of the reference-free analyses over the controller
-// step graph: the audit (must-defined/clean, audit.cpp) and the range
-// analysis (interval fixpoint, src/analysis/range/) both walk the same
-// canonical per-state view, so its construction lives here once.
+// the shared substrate of every reader that walks the controller step by
+// step: the audit (must-defined/clean, src/analysis/audit/), the range
+// analysis (interval fixpoint, src/analysis/range/), the translation
+// validator (symbolic execution, src/analysis/validate/) and the Verilog
+// writer all iterate the same canonical per-state view, so its
+// construction lives here once.
 //
 // Rows are sorted canonically (issues by ALU then op, latches by register
 // then signal) regardless of how .bind edits shuffled the source vectors:
@@ -15,20 +17,20 @@
 #include "rtl/controller.h"
 #include "rtl/datapath.h"
 
-namespace mframe::analysis::audit {
+namespace mframe::rtl {
 
 /// Per-state issue and latch tables over a datapath + controller pair. Holds
 /// raw pointers into both; the caller keeps them alive.
 struct StepIndex {
-  const rtl::Datapath* d = nullptr;
-  const rtl::ControllerFsm* fsm = nullptr;
+  const Datapath* d = nullptr;
+  const ControllerFsm* fsm = nullptr;
   std::size_t numRegs = 0;
   /// microcode issues per state (index = step, row 0 always empty)
-  std::vector<std::vector<const rtl::MicroOp*>> issues;
+  std::vector<std::vector<const MicroOp*>> issues;
   /// register latches per state (index = step; step 0 = input preloads)
-  std::vector<std::vector<const rtl::RegLoad*>> loads;
+  std::vector<std::vector<const RegLoad*>> loads;
 
-  StepIndex(const rtl::Datapath& dp, const rtl::ControllerFsm& f);
+  StepIndex(const Datapath& dp, const ControllerFsm& f);
 
   /// The wired source carrying `signal` into `op` (either port), or nullptr
   /// when the interconnect never routes that read (RTL009 turf).
@@ -45,6 +47,6 @@ struct PortRead {
   int select;  ///< effective select (-1: single-source port, no mux)
 };
 
-std::vector<PortRead> readsOf(const StepIndex& idx, const rtl::MicroOp& m);
+std::vector<PortRead> readsOf(const StepIndex& idx, const MicroOp& m);
 
-}  // namespace mframe::analysis::audit
+}  // namespace mframe::rtl

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "rtl/step_index.h"
 #include "util/strings.h"
 
 namespace mframe::rtl {
@@ -87,6 +88,7 @@ std::string toVerilog(const Datapath& d, const ControllerFsm& fsm, int width) {
   };
 
   // Combinational ALU input muxes + function selection, driven by state.
+  const StepIndex idx(d, fsm);
   v += "\n  always @(*) begin\n";
   for (const AluInstance& a : d.alus)
     v += util::format("    alu%d_a = 0; alu%d_b = 0; alu%d_y = 0;\n", a.index,
@@ -94,26 +96,21 @@ std::string toVerilog(const Datapath& d, const ControllerFsm& fsm, int width) {
   v += "    case (state)\n";
   for (int s = 1; s <= fsm.numSteps; ++s) {
     std::string body;
-    for (const MicroOp& m : fsm.microOps) {
-      if (m.step != s) continue;
-      const auto ai = static_cast<std::size_t>(m.alu);
-      const dfg::Node& n = g.node(m.op);
-      const auto& arr = d.arrangement[ai];
-      const bool swap = arr.swapped.count(m.op) ? arr.swapped.at(m.op) : false;
-      std::string ea = "0", eb = "0";
-      if (!n.inputs.empty()) {
-        const dfg::NodeId l = swap && n.inputs.size() == 2 ? n.inputs[1] : n.inputs[0];
-        ea = srcExpr(d.leftPort[ai].sources[d.leftPort[ai].selectOf.at({m.op, l})]);
-        if (n.inputs.size() >= 2) {
-          const dfg::NodeId r = swap ? n.inputs[0] : n.inputs[1];
-          eb = srcExpr(d.rightPort[ai].sources[d.rightPort[ai].selectOf.at({m.op, r})]);
-        }
-      }
-      body += util::format("        alu%d_a = %s; alu%d_b = %s;\n", m.alu,
-                           ea.c_str(), m.alu, eb.c_str());
-      body += util::format("        alu%d_y = %s; // %s\n", m.alu,
-                           verilogOp(n.kind, util::format("alu%d_a", m.alu),
-                                     util::format("alu%d_b", m.alu))
+    for (const MicroOp* m : idx.issues[static_cast<std::size_t>(s)]) {
+      const auto ai = static_cast<std::size_t>(m->alu);
+      const dfg::Node& n = g.node(m->op);
+      const alloc::MuxArrangement::Ports p = d.arrangement[ai].portSignals(n);
+      const auto operand = [&](const alloc::PortWiring& w,
+                               dfg::NodeId signal) -> std::string {
+        if (signal == dfg::kNoNode) return "0";
+        return srcExpr(w.sources[w.selectOf.at({m->op, signal})]);
+      };
+      body += util::format("        alu%d_a = %s; alu%d_b = %s;\n", m->alu,
+                           operand(d.leftPort[ai], p.left).c_str(), m->alu,
+                           operand(d.rightPort[ai], p.right).c_str());
+      body += util::format("        alu%d_y = %s; // %s\n", m->alu,
+                           verilogOp(n.kind, util::format("alu%d_a", m->alu),
+                                     util::format("alu%d_b", m->alu))
                                .c_str(),
                            n.name.c_str());
     }
@@ -123,10 +120,9 @@ std::string toVerilog(const Datapath& d, const ControllerFsm& fsm, int width) {
 
   // Sequential: FSM counter and register loads.
   v += "\n  always @(posedge clk) begin\n    if (rst) begin\n      state <= 1;\n";
-  for (const RegLoad& r : fsm.regLoads)
-    if (r.step == 0)
-      v += util::format("      R%d <= in_%s;\n", r.reg,
-                        ident(g.node(r.signal).name).c_str());
+  for (const RegLoad* r : idx.loads[0])
+    v += util::format("      R%d <= in_%s;\n", r->reg,
+                      ident(g.node(r->signal).name).c_str());
   v += "    end else begin\n";
   v += util::format(
       "      state <= (state == 8'd%d) ? 8'd%d : state + 8'd1;\n",
@@ -134,10 +130,10 @@ std::string toVerilog(const Datapath& d, const ControllerFsm& fsm, int width) {
   v += "      case (state)\n";
   for (int s = 1; s <= fsm.numSteps; ++s) {
     std::string body;
-    for (const RegLoad& r : fsm.regLoads)
-      if (r.step == s && r.fromAlu >= 0)
-        body += util::format("          R%d <= alu%d_y; // %s\n", r.reg,
-                             r.fromAlu, g.node(r.signal).name.c_str());
+    for (const RegLoad* r : idx.loads[static_cast<std::size_t>(s)])
+      if (r->fromAlu >= 0)
+        body += util::format("          R%d <= alu%d_y; // %s\n", r->reg,
+                             r->fromAlu, g.node(r->signal).name.c_str());
     if (!body.empty())
       v += util::format("        8'd%d: begin\n%s        end\n", s, body.c_str());
   }

@@ -572,7 +572,7 @@ TEST(LintRtl, BadFieldRefFires) {  // RTL012
   const rtl::ControllerFsm fsm = rtl::buildController(d);
   rtl::MicrocodeRom rom = rtl::buildMicrocode(d, fsm);
   ASSERT_FALSE(rom.fields.empty());
-  rom.fields[0].name = "alu99.op";  // no such ALU
+  rom.fields[0].unit = 99;  // no such ALU
   EXPECT_TRUE(fires(lintMicrocode(d, fsm, rom), kRtlBadFieldRef));
 }
 

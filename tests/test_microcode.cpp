@@ -39,7 +39,7 @@ TEST(Microcode, SingleOpAluNeedsNoOpcodeBits) {
     const std::string fieldName = mframe::util::format("alu%d.op", a.index);
     const bool hasField =
         std::any_of(rom.fields.begin(), rom.fields.end(),
-                    [&](const MicrocodeField& f) { return f.name == fieldName; });
+                    [&](const MicrocodeField& f) { return f.name() == fieldName; });
     EXPECT_EQ(hasField, kinds.size() > 1) << fieldName;
   }
 }
@@ -53,7 +53,7 @@ TEST(Microcode, RegisterLoadBitsSetAtBirthSteps) {
     if (rl.step < 1) continue;
     const std::string fieldName = mframe::util::format("R%d.load", rl.reg);
     auto it = std::find_if(rom.fields.begin(), rom.fields.end(),
-                           [&](const MicrocodeField& f) { return f.name == fieldName; });
+                           [&](const MicrocodeField& f) { return f.name() == fieldName; });
     ASSERT_NE(it, rom.fields.end());
     const auto f = static_cast<std::size_t>(it - rom.fields.begin());
     EXPECT_EQ(rom.rows[static_cast<std::size_t>(rl.step - 1)][f], 1);
@@ -70,10 +70,29 @@ TEST(Microcode, SelectFieldsWideEnough) {
     if (sources <= 1) continue;
     const std::string fieldName = mframe::util::format("alu%d.selL", a.index);
     auto it = std::find_if(rom.fields.begin(), rom.fields.end(),
-                           [&](const MicrocodeField& f) { return f.name == fieldName; });
+                           [&](const MicrocodeField& f) { return f.name() == fieldName; });
     ASSERT_NE(it, rom.fields.end()) << fieldName;
     EXPECT_GE(1u << it->bits, sources);
   }
+}
+
+TEST(Microcode, FieldHandlesResolveByRole) {
+  const auto r = synth(workloads::diffeq(), 4);
+  ASSERT_TRUE(r.feasible);
+  const auto rom = buildMicrocode(r.datapath, buildController(r.datapath));
+  for (std::size_t f = 0; f < rom.fields.size(); ++f)
+    EXPECT_EQ(rom.fieldOf(rom.fields[f].kind, rom.fields[f].unit),
+              static_cast<int>(f))
+        << rom.fields[f].name();
+  EXPECT_EQ(rom.fieldOf(MicrocodeField::Kind::Opcode, 99), -1);
+  EXPECT_EQ(rom.fieldOf(MicrocodeField::Kind::Next), -1);  // linear control
+  const int r0 = rom.fieldOf(MicrocodeField::Kind::RegLoad, 0);
+  ASSERT_GE(r0, 0);
+  EXPECT_EQ(rom.fields[static_cast<std::size_t>(r0)].name(), "R0.load");
+  EXPECT_EQ(rom.valueAt(1, r0), 1);
+  EXPECT_EQ(rom.valueAt(0, r0), std::nullopt);
+  EXPECT_EQ(rom.valueAt(5, r0), std::nullopt);
+  EXPECT_EQ(rom.valueAt(1, -1), std::nullopt);
 }
 
 TEST(Microcode, AreaEstimateScalesWithBits) {

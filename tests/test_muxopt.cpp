@@ -45,6 +45,29 @@ TEST(MuxOpt, CommutativeSwapImprovesSharing) {
   EXPECT_FALSE(arr.swapped.at(s));
 }
 
+TEST(MuxOpt, PortSignalsFollowTheSwap) {
+  // The add (y, x) swaps to share the sub's ports, so it reads x on the
+  // left and y on the right; a unary op reads its operand on the left.
+  dfg::Builder b("ps");
+  const auto x = b.input("x");
+  const auto y = b.input("y");
+  const auto s = b.sub(x, y, "s");
+  const auto a = b.add(y, x, "a");
+  const auto n = b.inc(a, "n");
+  b.output(s, "o1");
+  b.output(n, "o2");
+  const dfg::Dfg g = std::move(b).build();
+  const auto arr = arrangeInputs(g, {s, a, n});
+  ASSERT_TRUE(arr.swapped.at(a));
+  EXPECT_EQ(arr.portSignals(g.node(a)).left, x);
+  EXPECT_EQ(arr.portSignals(g.node(a)).right, y);
+  EXPECT_EQ(arr.portSignals(g.node(s)).left, x);
+  EXPECT_EQ(arr.portSignals(g.node(s)).right, y);
+  EXPECT_EQ(arr.portSignals(g.node(n)).left, a);
+  EXPECT_EQ(arr.portSignals(g.node(n)).right, dfg::kNoNode);
+  EXPECT_EQ(arr.portSignals(g.node(x)).left, dfg::kNoNode);
+}
+
 TEST(MuxOpt, NoSwapWhenNaturalOrderIsAsGood) {
   dfg::Builder b("nat");
   const auto x = b.input("x");

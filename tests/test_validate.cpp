@@ -249,15 +249,17 @@ struct RomDesign {
   rtl::ControllerFsm fsm;
   rtl::MicrocodeRom rom;
 
-  /// Row `step`'s value of the field named `field` (looked up by its
+  /// Row `step`'s value of the `kind` field of `unit` (looked up by its
   /// role, never by its position in the word).
-  int& cell(int step, std::string_view field) {
-    const int f = rom.fieldIndex(field);
-    EXPECT_GE(f, 0) << field;
+  int& cell(int step, rtl::MicrocodeField::Kind kind, int unit) {
+    const int f = rom.fieldOf(kind, unit);
+    EXPECT_GE(f, 0) << rtl::MicrocodeField{kind, unit}.name();
     return rom.rows.at(static_cast<std::size_t>(step - 1))
         .at(static_cast<std::size_t>(f));
   }
 };
+
+using Kind = rtl::MicrocodeField::Kind;
 
 RomDesign diffeqRom() {
   static const celllib::CellLibrary lib = celllib::ncrLike();
@@ -293,7 +295,7 @@ TEST(ProveReject, UnmutatedRomProves) {
 
 TEST(ProveReject, RomOpcodeDontCareFiresEqv005) {
   RomDesign b = diffeqRom();
-  b.cell(1, "alu1.op") = -1;
+  b.cell(1, Kind::Opcode, 1) = -1;
   expectRomFinding(b, kEqvStepDisagreement,
                    "step 1 issues 'm2' but field alu1.op holds a don't-care",
                    "alu1.op");
@@ -301,7 +303,7 @@ TEST(ProveReject, RomOpcodeDontCareFiresEqv005) {
 
 TEST(ProveReject, RomOpcodeMismatchFiresEqv005) {
   RomDesign b = diffeqRom();
-  int& op = b.cell(1, "alu1.op");
+  int& op = b.cell(1, Kind::Opcode, 1);
   op = 1 - op;  // ALU1 runs sub (0) and mul (1)
   expectRomFinding(b, kEqvStepDisagreement,
                    "ROM opcode 0 in step 1 selects 'sub' but the schedule "
@@ -312,7 +314,7 @@ TEST(ProveReject, RomOpcodeMismatchFiresEqv005) {
 TEST(ProveReject, RomSpuriousLoadFiresEqv005) {
   // R0 latches in every step of diffeq; R1 first latches in step 2.
   RomDesign b = diffeqRom();
-  b.cell(1, "R1.load") = 1;
+  b.cell(1, Kind::RegLoad, 1) = 1;
   expectRomFinding(b, kEqvStepDisagreement,
                    "ROM asserts R1.load in step 1 but no value is latched "
                    "there",
@@ -321,7 +323,7 @@ TEST(ProveReject, RomSpuriousLoadFiresEqv005) {
 
 TEST(ProveReject, RomMissingLoadFiresEqv005) {
   RomDesign b = diffeqRom();
-  b.cell(2, "R1.load") = -1;
+  b.cell(2, Kind::RegLoad, 1) = -1;
   expectRomFinding(b, kEqvStepDisagreement,
                    "ROM misses R1.load in step 2 where the controller "
                    "latches",
@@ -330,7 +332,7 @@ TEST(ProveReject, RomMissingLoadFiresEqv005) {
 
 TEST(ProveReject, RomSelectMismatchFiresEqv004) {
   RomDesign b = diffeqRom();
-  b.cell(1, "alu0.selL") = 1;
+  b.cell(1, Kind::SelL, 0) = 1;
   expectRomFinding(b, kEqvMuxRoute,
                    "left port of ALU0 issues select 1 (R0) but the binding "
                    "routes 'three' through select 0",
@@ -339,7 +341,7 @@ TEST(ProveReject, RomSelectMismatchFiresEqv004) {
 
 TEST(ProveReject, RomSelectOutsideMuxFiresEqv004) {
   RomDesign b = diffeqRom();
-  b.cell(1, "alu0.selL") = 7;
+  b.cell(1, Kind::SelL, 0) = 7;
   expectRomFinding(b, kEqvMuxRoute,
                    "left port select 7 of ALU0 is outside its 2-way mux",
                    "alu0.selL");
