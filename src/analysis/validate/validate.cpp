@@ -190,22 +190,28 @@ class Prover {
       if (got && *got == static_cast<int>(want - codes.begin())) continue;
       const std::string field =
           rtl::MicrocodeField{FieldKind::Opcode, m.alu}.name();
-      if (!got)
+      if (!got) {
         r_.add(diag(kEqvStepDisagreement, EntityKind::Field,
                     at(nameOf(m.op), m.step, m.alu, field),
                     util::format("step %d issues '%s' but field %s holds a "
                                  "don't-care", m.step, nameOf(m.op).c_str(),
                                  field.c_str())));
-      else
-        r_.add(diag(kEqvStepDisagreement, EntityKind::Field,
-                    at(nameOf(m.op), m.step, m.alu, field),
-                    util::format("ROM opcode %d in step %d selects '%s' but "
-                                 "the schedule runs '%s'", *got, m.step,
-                                 std::string(dfg::kindName(
-                                     codes[static_cast<std::size_t>(*got)]))
-                                     .c_str(),
-                                 std::string(dfg::kindName(g_.node(m.op).kind))
-                                     .c_str())));
+        continue;
+      }
+      // A value past the opcode table selects no operation at all.
+      const auto code = static_cast<std::size_t>(*got);
+      const std::string selected =
+          code < codes.size()
+              ? "'" + std::string(dfg::kindName(codes[code])) + "'"
+              : util::format("none of ALU%d's %zu operations", m.alu,
+                             codes.size());
+      r_.add(diag(kEqvStepDisagreement, EntityKind::Field,
+                  at(nameOf(m.op), m.step, m.alu, field),
+                  util::format("ROM opcode %d in step %d selects %s but the "
+                               "schedule runs '%s'", *got, m.step,
+                               selected.c_str(),
+                               std::string(dfg::kindName(g_.node(m.op).kind))
+                                   .c_str())));
     }
     std::set<std::pair<int, int>> loads;  // (step, reg)
     for (const rtl::RegLoad& rl : fsm_.regLoads)

@@ -311,6 +311,16 @@ TEST(ProveReject, RomOpcodeMismatchFiresEqv005) {
                    "alu1.op");
 }
 
+TEST(ProveReject, RomOpcodePastTableFiresEqv005) {
+  // A 1-bit field could not hold 5, but prove reads whatever the ROM says.
+  RomDesign b = diffeqRom();
+  b.cell(1, Kind::Opcode, 1) = 5;
+  expectRomFinding(b, kEqvStepDisagreement,
+                   "ROM opcode 5 in step 1 selects none of ALU1's 2 "
+                   "operations but the schedule runs 'mul'",
+                   "alu1.op");
+}
+
 TEST(ProveReject, RomSpuriousLoadFiresEqv005) {
   // R0 latches in every step of diffeq; R1 first latches in step 2.
   RomDesign b = diffeqRom();
