@@ -35,13 +35,4 @@ struct Lifetime {
 std::vector<Lifetime> computeLifetimes(const dfg::Dfg& g,
                                        const sched::Schedule& s);
 
-/// The lifetime entry for `producer`, or nullptr when the node produces no
-/// stored signal (e.g. constants).
-inline const Lifetime* findLifetime(const std::vector<Lifetime>& lifetimes,
-                                    dfg::NodeId producer) {
-  for (const Lifetime& lt : lifetimes)
-    if (lt.producer == producer) return &lt;
-  return nullptr;
-}
-
 }  // namespace mframe::alloc

@@ -458,21 +458,6 @@ void checkOutputs(const StepIndex& idx, const ReachResult& reach,
   }
 }
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 AuditResult auditDesign(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
@@ -523,7 +508,7 @@ AuditResult auditDesign(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
 std::string renderAuditJson(const AuditResult& r, const dfg::Dfg& g) {
   std::string out = "{\n";
   out += "  \"schema\": 1,\n";
-  out += "  \"design\": \"" + jsonEscape(g.name()) + "\",\n";
+  out += "  \"design\": \"" + util::jsonEscape(g.name()) + "\",\n";
   out += util::format("  \"states\": %d,\n", r.reach.numStates);
   out += util::format("  \"reachableStates\": %d,\n",
                       r.reach.reachableCount());

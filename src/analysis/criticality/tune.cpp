@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "analysis/validate/validate.h"
-#include "cache/resynth.h"
 #include "core/mfs.h"
 #include "dfg/transforms.h"
 #include "explore/thread_pool.h"
@@ -104,10 +103,7 @@ TuneResult tuneDesign(const dfg::Dfg& g, const celllib::CellLibrary& lib,
     }
     initial.constraints.timeSteps = tf->criticalSteps();
   }
-  // Cache-aware: only the *initial* schedule goes through the cache — the
-  // cone re-schedules below depend on per-iteration observed delays that
-  // would thrash it.
-  const core::MfsResult first = cache::cachedRunMfs(g, initial);
+  const core::MfsResult first = core::runMfs(g, initial);
   if (!first.feasible) {
     r.error = "initial schedule infeasible: " + first.error;
     return r;
@@ -326,14 +322,16 @@ std::string TuneResult::renderText(const dfg::Dfg& g) const {
 
 std::string TuneResult::renderJson(const dfg::Dfg& g) const {
   std::string out = "{\n  \"schema\": 1,\n";
-  out += util::format("  \"design\": \"%s\",\n", g.name().c_str());
+  out += util::format("  \"design\": \"%s\",\n",
+                      util::jsonEscape(g.name()).c_str());
   out += util::format("  \"converged\": %s,\n", converged ? "true" : "false");
   out += util::format("  \"iterations\": %d,\n", iterations);
   out += util::format("  \"initialWorstSlackNs\": %.4f,\n",
                       initialWorstSlackNs);
   out += util::format("  \"worstSlackNs\": %.4f,\n", worstSlackNs);
   out += util::format("  \"steps\": %d,\n", steps);
-  out += util::format("  \"error\": \"%s\",\n", error.c_str());
+  out += util::format("  \"error\": \"%s\",\n",
+                      util::jsonEscape(error).c_str());
   out += "  \"trail\": [";
   for (std::size_t i = 0; i < trail.size(); ++i) {
     const TuneIterationRecord& t = trail[i];

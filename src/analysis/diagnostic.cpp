@@ -111,27 +111,9 @@ std::string LintReport::renderText() const {
 
 namespace {
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out += util::format("\\u%04x", c);
-        else
-          out += c;
-    }
-  }
-  return out;
+std::string quoted(std::string_view s) {
+  return "\"" + util::jsonEscape(s) + "\"";
 }
-
-std::string quoted(std::string_view s) { return "\"" + jsonEscape(s) + "\""; }
 
 }  // namespace
 

@@ -508,21 +508,6 @@ void checkAsserts(const StepIndex& idx, const ReachResult& refined,
   }
 }
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 RangeResult analyzeDesignRanges(const rtl::Datapath& d,
@@ -606,7 +591,7 @@ audit::AuditResult auditRefined(const RangeResult& r, const rtl::Datapath& d,
 std::string renderRangeJson(const RangeResult& r, const dfg::Dfg& g) {
   std::string out = "{\n";
   out += "  \"schema\": 1,\n";
-  out += "  \"design\": \"" + jsonEscape(g.name()) + "\",\n";
+  out += "  \"design\": \"" + util::jsonEscape(g.name()) + "\",\n";
   out += util::format("  \"states\": %d,\n", r.reach.numStates);
   out += util::format("  \"reachableStates\": %d,\n",
                       r.reach.reachableCount());
@@ -622,8 +607,8 @@ std::string renderRangeJson(const RangeResult& r, const dfg::Dfg& g) {
         p.edge.from, p.edge.to,
         p.edge.cond == dfg::kNoNode
             ? ""
-            : jsonEscape(g.node(p.edge.cond).name).c_str(),
-        jsonEscape(p.reason).c_str());
+            : util::jsonEscape(g.node(p.edge.cond).name).c_str(),
+        util::jsonEscape(p.reason).c_str());
   }
   out += r.pruned.empty() ? "],\n" : "\n  ],\n";
   out += util::format("  \"widenings\": %llu,\n",

@@ -26,7 +26,12 @@ class Prover {
  public:
   Prover(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
          const rtl::MicrocodeRom& rom)
-      : d_(d), fsm_(fsm), rom_(rom), g_(*d.graph), idx_(d, fsm) {}
+      : d_(d), fsm_(fsm), rom_(rom), g_(*d.graph), idx_(d, fsm),
+        lifetimeOf_(g_.size(), nullptr) {
+    for (const alloc::Lifetime& lt : d_.lifetimes)
+      if (lt.producer < lifetimeOf_.size() && !lifetimeOf_[lt.producer])
+        lifetimeOf_[lt.producer] = &lt;
+  }
 
   LintReport run() {
     ideal_ = vn_.numberGraph(g_);
@@ -66,8 +71,14 @@ class Prover {
     return {vn_.toString(got, g_, 32), vn_.toString(want, g_, 32)};
   }
 
+  /// The lifetime `signal` is stored for, or nullptr when it stores none
+  /// (e.g. constants).
+  const alloc::Lifetime* lifetimeOf(NodeId signal) const {
+    return signal < lifetimeOf_.size() ? lifetimeOf_[signal] : nullptr;
+  }
+
   int deathOf(NodeId signal, int fallback) const {
-    const alloc::Lifetime* lt = alloc::findLifetime(d_.lifetimes, signal);
+    const alloc::Lifetime* lt = lifetimeOf(signal);
     return lt ? lt->death : fallback;
   }
 
@@ -466,7 +477,7 @@ class Prover {
                          nameOf(rl.signal).c_str(), t,
                          nameOf(st.occupant).c_str(), st.death),
             "allocate the signals to disjoint registers");
-        const alloc::Lifetime* lt = alloc::findLifetime(d_.lifetimes, st.occupant);
+        const alloc::Lifetime* lt = lifetimeOf(st.occupant);
         d.provenance = {
             util::format("'%s' occupies R%d for steps (%d, %d]",
                          nameOf(st.occupant).c_str(), rl.reg,
@@ -593,6 +604,7 @@ class Prover {
   const rtl::MicrocodeRom& rom_;
   const dfg::Dfg& g_;
   const rtl::StepIndex idx_;
+  std::vector<const alloc::Lifetime*> lifetimeOf_;  ///< index = NodeId
 
   LintReport r_;
   ValueNumbering vn_;

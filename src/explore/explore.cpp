@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cache/resynth.h"
 #include "explore/thread_pool.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
@@ -87,9 +86,7 @@ ExploreResult explore(const dfg::Dfg& g, const celllib::CellLibrary& lib,
                 opt.interconnect = cand.interconnect;
                 opt.style = cand.style;
                 opt.traceLiapunov = false;
-                // Cache-aware (no-op without an installed SynthCache): a
-                // re-run sweep replays every candidate from the cache.
-                const core::MfsaResult res = cache::cachedRunMfsa(g, lib, opt);
+                const core::MfsaResult res = core::runMfsa(g, lib, opt);
                 cand.feasible = res.feasible;
                 cand.error = res.error;
                 cand.restarts = res.restarts;
@@ -153,22 +150,6 @@ namespace {
 
 std::string jsonNumber(double v) { return util::format("%.10g", v); }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') {
-      out.push_back('\\');
-      out.push_back(ch);
-    } else if (ch == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(ch);
-    }
-  }
-  return out;
-}
-
 void appendConfig(std::string& out, const Candidate& c) {
   out += util::format(
       "{\"index\": %d, \"steps\": %d, "
@@ -187,7 +168,8 @@ void appendConfig(std::string& out, const Candidate& c) {
 std::string toJson(const ExploreResult& r) {
   std::string out;
   out += "{\n";
-  out += util::format("  \"design\": \"%s\",\n", jsonEscape(r.design).c_str());
+  out += util::format("  \"design\": \"%s\",\n",
+                      util::jsonEscape(r.design).c_str());
   out += util::format("  \"criticalSteps\": %d,\n", r.criticalSteps);
   out += util::format("  \"configs\": %d,\n",
                       static_cast<int>(r.candidates.size()));
@@ -218,7 +200,7 @@ std::string toJson(const ExploreResult& r) {
       out += util::format(
           "    {\"index\": %d, \"steps\": %d, \"feasible\": false, "
           "\"error\": \"%s\"}",
-          c.index, c.steps, jsonEscape(c.error).c_str());
+          c.index, c.steps, util::jsonEscape(c.error).c_str());
     }
     out += i + 1 < r.candidates.size() ? ",\n" : "\n";
   }

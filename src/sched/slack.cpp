@@ -69,7 +69,8 @@ std::string SlackReport::renderJson(const dfg::Dfg& g) const {
     out += util::format(
         "    {\"op\": \"%s\", \"early\": %d, \"late\": %d, "
         "\"critical\": %s}",
-        g.node(os.op).name.c_str(), os.earlySlack, os.lateSlack,
+        util::jsonEscape(g.node(os.op).name).c_str(), os.earlySlack,
+        os.lateSlack,
         os.critical() ? "true" : "false");
   }
   out += ops.empty() ? "]\n" : "\n  ]\n";

@@ -42,11 +42,6 @@ std::string_view counterName(Counter c) {
     case Counter::AuditReachableStates: return "audit.reachableStates";
     case Counter::AuditRbwChecks: return "audit.rbwChecks";
     case Counter::AuditFindings: return "audit.findings";
-    case Counter::CacheHits: return "cache.hits";
-    case Counter::CacheMisses: return "cache.misses";
-    case Counter::CacheStores: return "cache.stores";
-    case Counter::CacheInvalidations: return "cache.invalidations";
-    case Counter::CacheIncrementalHits: return "cache.incrementalHits";
     case Counter::RangeStates: return "range.states";
     case Counter::RangeWidenings: return "range.widenings";
     case Counter::RangeAsserts: return "range.asserts";
@@ -103,8 +98,6 @@ std::vector<std::pair<std::string_view, double>> derivedRates() {
           ? static_cast<double>(counterValue(Counter::ExploreFeasible)) /
                 configs
           : 0.0);
-  out.emplace_back("cache.hitRate",
-                   rateOf(Counter::CacheHits, Counter::CacheMisses));
   return out;
 }
 

@@ -54,11 +54,6 @@ enum class Counter : int {
   AuditReachableStates,   ///< FSM states the audit proved reachable from reset
   AuditRbwChecks,         ///< register-operand definedness checks performed
   AuditFindings,          ///< AUD diagnostics emitted
-  CacheHits,              ///< synthesis-cache entries replayed successfully
-  CacheMisses,            ///< synthesis-cache lookups that ran the engine
-  CacheStores,            ///< entries written to the synthesis cache
-  CacheInvalidations,     ///< entries dropped (replay failed verification)
-  CacheIncrementalHits,   ///< misses resolved by incremental resynthesis
   RangeStates,            ///< FSM states the range analysis interpreted
   RangeWidenings,         ///< loop-head interval widenings applied
   RangeAsserts,           ///< .bind range assertions checked

@@ -71,6 +71,26 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
+std::string jsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20)
+          out += format("\\u%04x", static_cast<unsigned>(c));
+        else
+          out += c;
+    }
+  }
+  return out;
+}
+
 std::string padLeft(std::string_view s, std::size_t w) {
   std::string out(s);
   if (out.size() < w) out.insert(0, w - out.size(), ' ');

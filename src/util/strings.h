@@ -26,6 +26,10 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// `s` as the body of a JSON string literal (without the quotes): `"`, `\`
+/// and every control character are escaped.
+std::string jsonEscape(std::string_view s);
+
 /// Left/right pad `s` with spaces to width `w` (no-op if already wider).
 std::string padLeft(std::string_view s, std::size_t w);
 std::string padRight(std::string_view s, std::size_t w);

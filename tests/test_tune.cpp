@@ -6,9 +6,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "analysis/analyze.h"
 #include "analysis/criticality/criticality.h"
 #include "analysis/criticality/tune.h"
 #include "analysis/timing/sta.h"
@@ -307,6 +309,127 @@ TEST(Tune, FdctUnschedulableCandidateIsRefusedUpFront) {
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_LE(trace::counterValue(trace::Counter::LiapunovCellEvals) - before,
             10000u);
+}
+
+// ---------------------------------------------------------------------------
+// JSON escaping of user-supplied names
+// ---------------------------------------------------------------------------
+
+/// Whether `s` is exactly one well-formed JSON value (RFC 8259 grammar;
+/// numbers are checked loosely, which is all these documents need).
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view s) : s_(s) {}
+  bool wellFormed() {
+    if (!value()) return false;
+    skipSpace();
+    return i_ == s_.size();
+  }
+
+ private:
+  void skipSpace() {
+    while (i_ < s_.size() && std::string_view(" \t\r\n").find(s_[i_]) !=
+                                 std::string_view::npos)
+      ++i_;
+  }
+  bool eat(char c) {
+    skipSpace();
+    if (i_ >= s_.size() || s_[i_] != c) return false;
+    ++i_;
+    return true;
+  }
+  bool value() {
+    skipSpace();
+    if (i_ >= s_.size()) return false;
+    if (s_[i_] == '{') return members('}', true);
+    if (s_[i_] == '[') return members(']', false);
+    if (s_[i_] == '"') return string();
+    for (const std::string_view lit : {"true", "false", "null"})
+      if (s_.substr(i_, lit.size()) == lit) {
+        i_ += lit.size();
+        return true;
+      }
+    const std::size_t start = i_;
+    while (i_ < s_.size() && std::string_view("+-.eE0123456789").find(
+                                 s_[i_]) != std::string_view::npos)
+      ++i_;
+    return i_ > start;
+  }
+  bool members(char close, bool object) {
+    ++i_;
+    if (eat(close)) return true;
+    do {
+      if (object) {
+        skipSpace();
+        if (!string() || !eat(':')) return false;
+      }
+      if (!value()) return false;
+    } while (eat(','));
+    return eat(close);
+  }
+  bool string() {
+    if (i_ >= s_.size() || s_[i_] != '"') return false;
+    for (++i_; i_ < s_.size(); ++i_) {
+      const char c = s_[i_];
+      if (c == '"') {
+        ++i_;
+        return true;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c == '\\') {
+        ++i_;
+        if (i_ >= s_.size() || std::string_view("\"\\/bfnrtu").find(s_[i_]) ==
+                                   std::string_view::npos)
+          return false;
+      }
+    }
+    return false;
+  }
+
+  std::string_view s_;
+  std::size_t i_ = 0;
+};
+
+/// slowchain with a double quote in the design name and in one op name.
+dfg::Dfg quotedSlowchain() {
+  return dfg::parse(
+      "dfg slow\"chain\n"
+      "input a\ninput b\ninput c\ninput d\n"
+      "op add t\"1 a b delay=30\n"
+      "op add t2 t\"1 c delay=30\n"
+      "op add t3 t2 d delay=30\n"
+      "output result t3\n");
+}
+
+TEST(JsonEscape, QuotedNamesRenderValidTuneJson) {
+  const dfg::Dfg g = quotedSlowchain();
+  const TuneResult r =
+      tuneDesign(g, celllib::ncrLike(), slowchainOptions());
+  ASSERT_TRUE(r.slackRan) << r.error;
+  const std::string json = r.renderJson(g);
+  EXPECT_TRUE(JsonChecker(json).wellFormed()) << json;
+  EXPECT_NE(json.find(R"("design": "slow\"chain")"), std::string::npos);
+  EXPECT_NE(json.find(R"("op": "t\"1")"), std::string::npos);
+}
+
+TEST(JsonEscape, QuotedNamesRenderValidAnalyzeJson) {
+  const dfg::Dfg g = quotedSlowchain();
+  AnalyzeOptions opts;
+  opts.constraints = chainedConstraints(100.0);
+  opts.clockSet = true;
+  const AnalyzeResult r = analyzeDesign(g, celllib::ncrLike(), opts);
+  ASSERT_TRUE(r.slackRan) << r.timingSkip;
+  const std::string lint = r.report.renderJson(g.name());
+  const std::string slack = r.slack.renderJson(g);
+  EXPECT_TRUE(JsonChecker(lint).wellFormed()) << lint;
+  EXPECT_TRUE(JsonChecker(slack).wellFormed()) << slack;
+  EXPECT_NE(lint.find(R"("design": "slow\"chain")"), std::string::npos);
+  EXPECT_NE(slack.find(R"("op": "t\"1")"), std::string::npos);
+}
+
+TEST(JsonEscape, CheckerRejectsAnUnescapedQuote) {
+  EXPECT_TRUE(JsonChecker(R"({"a": ["b\"c", 1, true, null]})").wellFormed());
+  EXPECT_FALSE(JsonChecker(R"({"a": "b"c"})").wellFormed());
 }
 
 TEST(TuneGolden, JsonIsDeterministic) {

@@ -60,8 +60,8 @@ else:
 # Timings: relative tolerance, slowdowns only.
 if os.environ.get("BENCH_COMPARE_SKIP_TIME") != "1":
     tol = float(os.environ.get("BENCH_COMPARE_TOL", "0.50"))
-    for suite in ("runtime", "explore", "analyze", "tune", "audit", "cache",
-                  "range", "scale"):
+    for suite in ("runtime", "explore", "analyze", "tune", "audit", "range",
+                  "scale"):
         by_name = {b["name"]: b
                    for b in fresh.get(suite, {}).get("benchmarks", [])}
         for b in base.get(suite, {}).get("benchmarks", []):

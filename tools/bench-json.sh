@@ -2,8 +2,7 @@
 # Run the google-benchmark binaries and merge their JSON reports into one
 # BENCH_runtime.json tracking the repo's performance trajectory:
 #   { "provenance": ..., "runtime": ..., "explore": ..., "analyze": ...,
-#     "tune": ..., "audit": ..., "cache": ..., "range": ..., "scale": ...,
-#     "metrics": ... }
+#     "tune": ..., "audit": ..., "range": ..., "scale": ..., "metrics": ... }
 # — the git revision and mframe build type the numbers come from, one
 # google-benchmark report per binary, plus the pipeline counter metrics of
 # pinned CLI invocations (extracted from the '{"schema": 1,' marker object
@@ -24,7 +23,7 @@ build=${1:-$repo/build}
 out=${2:-$repo/BENCH_runtime.json}
 
 for bin in bench_runtime bench_explore bench_analyze bench_tune bench_audit \
-           bench_cache bench_range bench_scale; do
+           bench_range bench_scale; do
   if [ ! -x "$build/bench/$bin" ]; then
     echo "bench-json.sh: $build/bench/$bin not built" >&2
     exit 1
@@ -68,9 +67,6 @@ fi
 "$build/bench/bench_audit" --benchmark_format=json $minTimeArg \
   > "$tmp/audit.json"
 # shellcheck disable=SC2086
-"$build/bench/bench_cache" --benchmark_format=json $minTimeArg \
-  > "$tmp/cache.json"
-# shellcheck disable=SC2086
 "$build/bench/bench_range" --benchmark_format=json $minTimeArg \
   > "$tmp/range.json"
 # shellcheck disable=SC2086
@@ -93,15 +89,8 @@ if command -v python3 >/dev/null 2>&1 && [ -x "$build/tools/mframe" ]; then
     --metrics=json > "$tmp/audit.out"
   "$build/tools/mframe" range "$designs/chained.dfg" --steps 6 \
     --metrics=json > "$tmp/range.out"
-  # Cache counters: a cold run populates a scratch cache, the warm rerun's
-  # counters (1 hit, 0 misses) are the pinned, deterministic gate values.
-  "$build/tools/mframe" synth "$designs/diffeq.mfb" --steps 4 \
-    --cache "$tmp/synthcache" --metrics=json > /dev/null
-  "$build/tools/mframe" synth "$designs/diffeq.mfb" --steps 4 \
-    --cache "$tmp/synthcache" --metrics=json > "$tmp/cachewarm.out"
   python3 - "$tmp/synth.out" "$tmp/explore.out" "$tmp/tune.out" \
-    "$tmp/audit.out" "$tmp/cachewarm.out" "$tmp/range.out" \
-    > "$tmp/metrics.json" <<'EOF'
+    "$tmp/audit.out" "$tmp/range.out" > "$tmp/metrics.json" <<'EOF'
 import json
 import sys
 
@@ -117,8 +106,7 @@ print(json.dumps({
     "explore_diffeq": extract(sys.argv[2]),
     "tune_slowchain": extract(sys.argv[3]),
     "audit_diffeq": extract(sys.argv[4]),
-    "synth_diffeq_cache_warm": extract(sys.argv[5]),
-    "range_chained": extract(sys.argv[6]),
+    "range_chained": extract(sys.argv[5]),
 }, indent=1))
 EOF
   haveMetrics=1
@@ -139,8 +127,6 @@ fi
   cat "$tmp/tune.json"
   printf ',\n"audit":\n'
   cat "$tmp/audit.json"
-  printf ',\n"cache":\n'
-  cat "$tmp/cache.json"
   printf ',\n"range":\n'
   cat "$tmp/range.json"
   printf ',\n"scale":\n'

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Full local CI sweep: build and test the tree four times — plain,
 # instrumented with AddressSanitizer+UBSan, instrumented with
-# ThreadSanitizer (the explorer's worker threads, the audit/range parallel
-# per-state scans and the synthesis cache they share are the repo's only
-# concurrency, so the TSan tree runs just those tests), and instrumented
+# ThreadSanitizer (the explorer's worker threads and the audit/range
+# parallel per-state scans are the repo's only concurrency, so the TSan
+# tree runs just those tests), and instrumented
 # with UBSan alone for the checked-arithmetic interval code — then run
 # clang-tidy over the sources with warnings promoted to errors. This is the
 # same gauntlet the validator and lint fixtures are developed against; a
@@ -40,9 +40,9 @@ echo "==== configure build-ci-tsan (-DMFRAME_SANITIZE=thread)"
 cmake -B "$repo/build-ci-tsan" -S "$repo" -DMFRAME_SANITIZE=thread
 echo "==== build build-ci-tsan (mframe_tests)"
 cmake --build "$repo/build-ci-tsan" -j "$jobs" --target mframe_tests
-echo "==== explorer/thread-pool, tune, audit, range, cache and DFG concurrency tests under TSan"
+echo "==== explorer/thread-pool, tune, audit, range and DFG concurrency tests under TSan"
 "$repo/build-ci-tsan/tests/mframe_tests" \
-  --gtest_filter='Explore*:Tune.*:Audit*:Range*:Cache*:DfgConcurrency*' \
+  --gtest_filter='Explore*:Tune.*:Audit*:Range*:DfgConcurrency*' \
   --gtest_brief=1
 
 # Scale smoke under TSan: a 10k-op synthesis drives the frontier scheduler's
@@ -127,9 +127,9 @@ BENCH_COMPARE_SKIP_TIME=1 "$repo/tools/bench-compare.sh" \
 # parallel per-step scan are exactly the code the sanitizers should chew
 # on; ctest above already ran the whole suite under ASan/UBSan, but run the
 # determinism tests once more explicitly at a high jobs count.
-echo "==== explorer, tune, audit, range and cache determinism under ASan/UBSan"
+echo "==== explorer, tune, audit, range determinism under ASan/UBSan"
 "$repo/build-ci-asan/tests/mframe_tests" \
-  --gtest_filter='Explore*:Tune.*:Audit*:Range*:Cache*' --gtest_brief=1
+  --gtest_filter='Explore*:Tune.*:Audit*:Range*' --gtest_brief=1
 
 echo "==== clang-tidy (warnings are errors)"
 "$repo/tools/run-tidy.sh" "$repo/build-ci"

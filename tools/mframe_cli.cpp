@@ -47,28 +47,22 @@
 //                        operations removed (diagnostics go to stderr)
 //   --no-timing          run only the dataflow passes (no synthesis)
 // prove-only:
-//   --scheduler NAME     mfsa|mfs|asap|list|fds (default mfsa); mfsa/mfs/fds
-//                        need --steps, asap/list pace themselves
+//   --scheduler NAME     mfsa|mfs|asap|list|fds (default mfsa)
 //   --bind FILE          validate an explicit .bind design instead of
 //                        synthesizing one (see docs/FORMATS.md)
 // common output options:
 //   --dot                print Graphviz DOT of the scheduled DFG
 //   --trace FILE         write a Chrome trace-event JSON of the run
 //   --metrics[=json]     print pipeline counters after the run
-//   --cache DIR          persistent synthesis cache: schedule/synth/explore/
-//                        tune/prove/audit replay verified results instead of
-//                        resynthesizing; small edits resynthesize only the
-//                        affected cone (see docs/CACHE.md)
-//   --cache-stats        print hit/miss/store counts to stderr after the run
 //
-// schedule/synth default --steps to the design's critical path when omitted
-// in time-constrained mode (a note goes to stderr).
+// schedule, synth, prove, audit and range default --steps to the design's
+// critical path when it is omitted in time-constrained mode (a note goes to
+// stderr); asap/list pace themselves and a .bind file carries its own steps.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -80,8 +74,6 @@
 #include "analysis/rules.h"
 #include "analysis/validate/bind_io.h"
 #include "baseline/asap_sched.h"
-#include "cache/resynth.h"
-#include "cache/store.h"
 #include "baseline/fds.h"
 #include "baseline/list_sched.h"
 #include "celllib/library_io.h"
@@ -151,8 +143,6 @@ constexpr const char* kUsage =
     "  (e.g. AUD002), or a rule family prefix (e.g. TIM, AUD); repeatable\n"
     "tracing/metrics: --trace FILE (Chrome trace-event JSON)\n"
     "  --metrics[=json] (pipeline counters after the run)\n"
-    "caching: --cache DIR (persistent synthesis memoization + incremental\n"
-    "  resynthesis) --cache-stats (hit/miss summary on stderr)\n"
     "<file> may be '-' (or omitted) to read the design from stdin\n";
 
 [[noreturn]] void die(const std::string& msg) {
@@ -237,9 +227,6 @@ struct Cli {
   std::string tracePath;        ///< --trace FILE; empty = no tracing
   bool metrics = false;         ///< --metrics[=...]
   bool metricsJsonOut = false;  ///< --metrics=json
-  // caching
-  std::string cachePath;        ///< --cache DIR; empty = no caching
-  bool cacheStats = false;      ///< --cache-stats
 };
 
 Cli parseArgs(int argc, char** argv) {
@@ -400,10 +387,6 @@ Cli parseArgs(int argc, char** argv) {
           c.schedulerName != "fds")
         dieUsage("bad --scheduler '" + c.schedulerName +
                  "' (use mfsa|mfs|asap|list|fds)");
-    } else if (a == "--cache") {
-      c.cachePath = next();
-    } else if (a == "--cache-stats") {
-      c.cacheStats = true;
     } else if (a == "--trace") {
       c.tracePath = next();
     } else if (a == "--metrics") {
@@ -559,7 +542,7 @@ int runSchedule(const Cli& cli, const dfg::Dfg& g) {
   o.constraints.timeSteps = cli.steps;
   o.mode = cli.mode;
   o.priorityRule = cli.priority;
-  const auto r = cache::cachedRunMfs(g, o);
+  const auto r = core::runMfs(g, o);
   if (!r.feasible) die("MFS failed: " + r.error);
   const auto bad = sched::verifySchedule(r.schedule, o.constraints);
   std::printf("%s", r.schedule.toString().c_str());
@@ -598,7 +581,7 @@ int runSynth(const Cli& cli, const dfg::Dfg& g) {
   o.style = cli.style;
   o.weights = cli.weights;
   o.priorityRule = cli.priority;
-  const auto r = cache::cachedRunMfsa(g, lib, o);
+  const auto r = core::runMfsa(g, lib, o);
   if (!r.feasible) die("MFSA failed: " + r.error);
   const auto bad = rtl::verifyDatapath(r.datapath, o.constraints, cli.style);
 
@@ -841,7 +824,7 @@ analysis::BoundDesign synthesizeBound(const Cli& cli, const dfg::Dfg& g,
     o.style = cli.style;
     o.weights = cli.weights;
     o.priorityRule = cli.priority;
-    const auto r = cache::cachedRunMfsa(g, lib, o);
+    const auto r = core::runMfsa(g, lib, o);
     if (!r.feasible) die("MFSA failed: " + r.error);
     return fromDatapath(r.datapath);
   }
@@ -850,7 +833,7 @@ analysis::BoundDesign synthesizeBound(const Cli& cli, const dfg::Dfg& g,
     o.constraints = constraints;
     o.mode = cli.mode;
     o.priorityRule = cli.priority;
-    const auto r = cache::cachedRunMfs(g, o);
+    const auto r = core::runMfs(g, o);
     if (!r.feasible) die("MFS failed: " + r.error);
     return fromSchedule(r.schedule);
   }
@@ -1091,9 +1074,9 @@ int runLint(const Cli& cli) {
   return failsPolicy(cli, report) ? 1 : 0;
 }
 
-/// schedule/synth in time-constrained mode without --steps: default the time
-/// constraint to the design's critical path (probed with the user's chaining
-/// and clock settings) instead of refusing to run.
+/// A time-constrained run without --steps: default the time constraint to
+/// the design's critical path (probed with the user's chaining and clock
+/// settings) instead of refusing to run.
 void defaultStepsToCriticalPath(Cli& cli, const dfg::Dfg& g) {
   sched::Constraints probe;
   probe.allowChaining = cli.constraints.allowChaining;
@@ -1109,38 +1092,25 @@ void defaultStepsToCriticalPath(Cli& cli, const dfg::Dfg& g) {
 
 int runCommand(Cli& cli) {
   if (cli.command == "lint") return runLint(cli);
-  if (cli.command == "prove" || cli.command == "audit" ||
-      cli.command == "range") {
-    // ASAP and list scheduling pace themselves; a .bind file carries its
-    // own step count. Everything else needs the time constraint.
-    if (cli.steps <= 0 && cli.bindPath.empty() &&
-        cli.schedulerName != "asap" && cli.schedulerName != "list")
-      die("--steps is required for --scheduler " + cli.schedulerName);
-    const dfg::Dfg g = loadDesign(cli.file);
-    preflightLint(g);
+  const dfg::Dfg g = loadDesign(cli.file);
+  preflightLint(g);
+  if (cli.command == "explore") return runExplore(cli, g);
+  if (cli.command == "analyze") return runAnalyze(cli, g);
+  if (cli.command == "tune") return runTune(cli, g);
+  const bool checker = cli.command == "prove" || cli.command == "audit" ||
+                       cli.command == "range";
+  // ASAP and list scheduling pace themselves; a .bind file carries its own
+  // step count.
+  const bool pacesItself =
+      checker && (!cli.bindPath.empty() || cli.schedulerName == "asap" ||
+                  cli.schedulerName == "list");
+  if (cli.steps <= 0 && cli.mode == core::MfsLiapunov::Mode::TimeConstrained &&
+      !pacesItself)
+    defaultStepsToCriticalPath(cli, g);
+  if (checker)
     return cli.command == "prove"   ? runProve(cli, g)
            : cli.command == "audit" ? runAudit(cli, g)
                                     : runRange(cli, g);
-  }
-  if (cli.command == "explore") {
-    const dfg::Dfg g = loadDesign(cli.file);
-    preflightLint(g);
-    return runExplore(cli, g);
-  }
-  if (cli.command == "analyze") {
-    const dfg::Dfg g = loadDesign(cli.file);
-    preflightLint(g);
-    return runAnalyze(cli, g);
-  }
-  if (cli.command == "tune") {
-    const dfg::Dfg g = loadDesign(cli.file);
-    preflightLint(g);
-    return runTune(cli, g);
-  }
-  const dfg::Dfg g = loadDesign(cli.file);
-  preflightLint(g);
-  if (cli.steps <= 0 && cli.mode == core::MfsLiapunov::Mode::TimeConstrained)
-    defaultStepsToCriticalPath(cli, g);
   std::printf("design '%s': %zu nodes, %zu operations\n\n",
               g.name().c_str(), g.size(), g.operations().size());
   if (cli.emitStats)
@@ -1153,21 +1123,8 @@ int runCommand(Cli& cli) {
 int main(int argc, char** argv) {
   Cli cli = parseArgs(argc, argv);
   const bool wantTrace = !cli.tracePath.empty();
-  if (wantTrace || cli.metrics || cli.cacheStats) trace::enableCounters(true);
+  if (wantTrace || cli.metrics) trace::enableCounters(true);
   if (wantTrace) trace::beginTracing();
-
-  // The cache outlives runCommand (results may be stored as the command
-  // unwinds) and is installed process-wide so every synthesis path — the
-  // explorer's worker threads included — goes through it.
-  std::unique_ptr<cache::SynthCache> synthCache;
-  if (!cli.cachePath.empty()) {
-    try {
-      synthCache = std::make_unique<cache::SynthCache>(cli.cachePath);
-    } catch (const std::exception& e) {
-      die(e.what());
-    }
-    cache::setActiveCache(synthCache.get());
-  }
 
   int rc = 2;
   try {
@@ -1175,26 +1132,6 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mframe: %s\n", e.what());
   }
-  cache::setActiveCache(nullptr);
-
-  // Stats go to stderr so a warm run's stdout stays byte-identical to the
-  // cold run that populated the cache.
-  if (cli.cacheStats)
-    std::fprintf(
-        stderr,
-        "mframe: cache '%s': %llu hits, %llu misses (%llu incremental), "
-        "%llu stores, %llu invalidations\n",
-        cli.cachePath.c_str(),
-        static_cast<unsigned long long>(
-            trace::counterValue(trace::Counter::CacheHits)),
-        static_cast<unsigned long long>(
-            trace::counterValue(trace::Counter::CacheMisses)),
-        static_cast<unsigned long long>(
-            trace::counterValue(trace::Counter::CacheIncrementalHits)),
-        static_cast<unsigned long long>(
-            trace::counterValue(trace::Counter::CacheStores)),
-        static_cast<unsigned long long>(
-            trace::counterValue(trace::Counter::CacheInvalidations)));
 
   // Flush instrumentation even when the command failed: a trace of the run
   // that died is exactly what the investigation needs. (die() exits directly
