@@ -127,7 +127,7 @@ BENCH_COMPARE_SKIP_TIME=1 "$repo/tools/bench-compare.sh" \
 # parallel per-step scan are exactly the code the sanitizers should chew
 # on; ctest above already ran the whole suite under ASan/UBSan, but run the
 # determinism tests once more explicitly at a high jobs count.
-echo "==== explorer, tune, audit, range determinism under ASan/UBSan"
+echo "==== explorer, tune, audit and range determinism under ASan/UBSan"
 "$repo/build-ci-asan/tests/mframe_tests" \
   --gtest_filter='Explore*:Tune.*:Audit*:Range*' --gtest_brief=1
 
