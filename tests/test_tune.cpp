@@ -403,8 +403,7 @@ dfg::Dfg quotedSlowchain() {
 
 TEST(JsonEscape, QuotedNamesRenderValidTuneJson) {
   const dfg::Dfg g = quotedSlowchain();
-  const TuneResult r =
-      tuneDesign(g, celllib::ncrLike(), slowchainOptions());
+  const TuneResult r = tuneDesign(g, celllib::ncrLike(), slowchainOptions());
   ASSERT_TRUE(r.slackRan) << r.error;
   const std::string json = r.renderJson(g);
   EXPECT_TRUE(JsonChecker(json).wellFormed()) << json;
@@ -414,10 +413,7 @@ TEST(JsonEscape, QuotedNamesRenderValidTuneJson) {
 
 TEST(JsonEscape, QuotedNamesRenderValidAnalyzeJson) {
   const dfg::Dfg g = quotedSlowchain();
-  AnalyzeOptions opts;
-  opts.constraints = chainedConstraints(100.0);
-  opts.clockSet = true;
-  const AnalyzeResult r = analyzeDesign(g, celllib::ncrLike(), opts);
+  const AnalyzeResult r = analyzeDesign(g, celllib::ncrLike(), {});
   ASSERT_TRUE(r.slackRan) << r.timingSkip;
   const std::string lint = r.report.renderJson(g.name());
   const std::string slack = r.slack.renderJson(g);
