@@ -84,7 +84,6 @@ void BM_StaChained(benchmark::State& state) {
   opts.constraints.allowChaining = true;
   opts.constraints.clockNs = 100.0;
   opts.clockSet = true;
-  opts.dataflow = {};
   for (auto _ : state) {
     const auto r = analysis::analyzeDesign(g, lib, opts);
     benchmark::DoNotOptimize(r.timing.maxChainDepth);

@@ -51,11 +51,9 @@ void BM_CriticalityPass(benchmark::State& state) {
   const analysis::timing::TimingReport tr = analysis::timing::analyzeTiming(dp, to);
   const auto slack = sched::analyzeSlack(r.schedule, mo.constraints);
 
-  analysis::criticality::CriticalityOptions co;
-  co.clockNs = 200.0;
   for (auto _ : state) {
     const auto crit = analysis::criticality::analyzeCriticality(
-        dp, tr, slack ? *slack : sched::SlackReport{}, nullptr, co);
+        dp, tr, slack ? *slack : sched::SlackReport{});
     benchmark::DoNotOptimize(crit.engineVisits);
   }
   state.SetLabel(bc.graph.name());

@@ -17,6 +17,51 @@ void addUnique(std::vector<dfg::NodeId>& v, std::unordered_set<dfg::NodeId>& s,
   if (s.insert(x).second) v.push_back(x);
 }
 
+bool isCommutativePair(const dfg::Node& n) {
+  return dfg::isCommutative(n.kind) && n.inputs.size() == 2;
+}
+
+/// The pass-2 orientation of commutative `n` against `a`'s port sets: swap
+/// when that adds fewer new signals (ties keep the natural order).
+bool prefersSwap(const MuxArrangement& a, const dfg::Node& n) {
+  const dfg::NodeId x = n.inputs[0];
+  const dfg::NodeId y = n.inputs[1];
+  const int costNatural =
+      (contains(a.leftSet, x) ? 0 : 1) + (contains(a.rightSet, y) ? 0 : 1);
+  const int costSwapped =
+      (contains(a.leftSet, y) ? 0 : 1) + (contains(a.rightSet, x) ? 0 : 1);
+  return costSwapped < costNatural;
+}
+
+/// Commit commutative `n` to `a` in its pass-2 orientation.
+void placeCommutative(MuxArrangement& a, const dfg::Node& n) {
+  const bool swap = prefersSwap(a, n);
+  addUnique(a.left, a.leftSet, n.inputs[swap ? 1 : 0]);
+  addUnique(a.right, a.rightSet, n.inputs[swap ? 0 : 1]);
+  a.swapped[n.id] = swap;
+}
+
+/// Port sizes after appending commutative `n` to `base`. Appended last, the
+/// op is decided last in pass 2: the state it sees is exactly `base`, and
+/// nothing after it can change.
+MuxDelta commutativeDelta(const MuxArrangement& base, const dfg::Node& n) {
+  MuxDelta d;
+  d.swapped = prefersSwap(base, n);
+  const dfg::NodeId l = n.inputs[d.swapped ? 1 : 0];
+  const dfg::NodeId r = n.inputs[d.swapped ? 0 : 1];
+  d.left = base.left.size() + (contains(base.leftSet, l) ? 0 : 1);
+  d.right = base.right.size() + (contains(base.rightSet, r) ? 0 : 1);
+  return d;
+}
+
+/// Whether fixed-order `n`'s operands are already pass-1 pinned to their
+/// ports in `a`, so adding `n` leaves pass 1 — and every pass-2 decision —
+/// unchanged.
+bool pinsAlreadyPinned(const MuxArrangement& a, const dfg::Node& n) {
+  return (n.inputs.empty() || contains(a.pinnedLeftSet, n.inputs[0])) &&
+         (n.inputs.size() < 2 || contains(a.pinnedRightSet, n.inputs[1]));
+}
+
 }  // namespace
 
 MuxArrangement::Ports MuxArrangement::portSignals(const dfg::Node& n) const {
@@ -37,7 +82,7 @@ MuxArrangement arrangeInputs(const dfg::Dfg& g,
   // Pass 1: fixed-order operations pin their signals to their ports.
   for (dfg::NodeId id : ops) {
     const dfg::Node& n = g.node(id);
-    if (dfg::isCommutative(n.kind) && n.inputs.size() == 2) continue;
+    if (isCommutativePair(n)) continue;
     if (n.inputs.size() >= 1) addUnique(a.left, a.leftSet, n.inputs[0]);
     if (n.inputs.size() >= 2) addUnique(a.right, a.rightSet, n.inputs[1]);
     a.swapped[id] = false;
@@ -50,17 +95,7 @@ MuxArrangement arrangeInputs(const dfg::Dfg& g,
   // fewest new signals (ties keep the natural order).
   for (dfg::NodeId id : ops) {
     const dfg::Node& n = g.node(id);
-    if (!dfg::isCommutative(n.kind) || n.inputs.size() != 2) continue;
-    const dfg::NodeId x = n.inputs[0];
-    const dfg::NodeId y = n.inputs[1];
-    const int costNatural =
-        (contains(a.leftSet, x) ? 0 : 1) + (contains(a.rightSet, y) ? 0 : 1);
-    const int costSwapped =
-        (contains(a.leftSet, y) ? 0 : 1) + (contains(a.rightSet, x) ? 0 : 1);
-    const bool swap = costSwapped < costNatural;
-    addUnique(a.left, a.leftSet, swap ? y : x);
-    addUnique(a.right, a.rightSet, swap ? x : y);
-    a.swapped[id] = swap;
+    if (isCommutativePair(n)) placeCommutative(a, n);
   }
   return a;
 }
@@ -69,33 +104,14 @@ MuxDelta arrangeInputsDelta(const dfg::Dfg& g, const MuxArrangement& base,
                             const std::vector<dfg::NodeId>& baseOps,
                             dfg::NodeId op) {
   const dfg::Node& n = g.node(op);
-  MuxDelta d;
-  if (dfg::isCommutative(n.kind) && n.inputs.size() == 2) {
-    // Appended last, the op is also decided last in pass 2: the state it
-    // sees is exactly `base`, and nothing after it can change. Replay the
-    // orientation choice against the final port sets.
-    const dfg::NodeId x = n.inputs[0];
-    const dfg::NodeId y = n.inputs[1];
-    const int costNatural =
-        (contains(base.leftSet, x) ? 0 : 1) + (contains(base.rightSet, y) ? 0 : 1);
-    const int costSwapped =
-        (contains(base.leftSet, y) ? 0 : 1) + (contains(base.rightSet, x) ? 0 : 1);
-    d.swapped = costSwapped < costNatural;
-    const dfg::NodeId l = d.swapped ? y : x;
-    const dfg::NodeId r = d.swapped ? x : y;
-    d.left = base.left.size() + (contains(base.leftSet, l) ? 0 : 1);
-    d.right = base.right.size() + (contains(base.rightSet, r) ? 0 : 1);
+  if (isCommutativePair(n)) {
     trace::bump(trace::Counter::MuxDeltaIncremental);
-    return d;
+    return commutativeDelta(base, n);
   }
   // Fixed-order op: exact only if its pins were already pass-1 pinned, in
-  // which case the batch run's pass-1 state — and so every pass-2 decision —
-  // is unchanged and the op adds no signals.
-  const bool leftPinned =
-      n.inputs.empty() || contains(base.pinnedLeftSet, n.inputs[0]);
-  const bool rightPinned =
-      n.inputs.size() < 2 || contains(base.pinnedRightSet, n.inputs[1]);
-  if (leftPinned && rightPinned) {
+  // which case the op adds no signals.
+  MuxDelta d;
+  if (pinsAlreadyPinned(base, n)) {
     d.left = base.left.size();
     d.right = base.right.size();
     trace::bump(trace::Counter::MuxDeltaIncremental);
@@ -113,28 +129,15 @@ MuxDelta arrangeInputsDelta(const dfg::Dfg& g, const MuxArrangement& base,
 
 bool appendToArrangement(const dfg::Dfg& g, MuxArrangement& a, dfg::NodeId op) {
   const dfg::Node& n = g.node(op);
-  if (dfg::isCommutative(n.kind) && n.inputs.size() == 2) {
-    // Same argument as arrangeInputsDelta: appended last, the op is decided
-    // last in pass 2 against exactly the current port sets, and no earlier
-    // decision can change — commit its orientation choice directly.
-    const dfg::NodeId x = n.inputs[0];
-    const dfg::NodeId y = n.inputs[1];
-    const int costNatural =
-        (contains(a.leftSet, x) ? 0 : 1) + (contains(a.rightSet, y) ? 0 : 1);
-    const int costSwapped =
-        (contains(a.leftSet, y) ? 0 : 1) + (contains(a.rightSet, x) ? 0 : 1);
-    const bool swap = costSwapped < costNatural;
-    addUnique(a.left, a.leftSet, swap ? y : x);
-    addUnique(a.right, a.rightSet, swap ? x : y);
-    a.swapped[op] = swap;
+  if (isCommutativePair(n)) {
+    // Appended last, the op is decided last in pass 2 against exactly the
+    // current port sets, and no earlier decision can change — commit its
+    // orientation choice directly.
+    placeCommutative(a, n);
     return true;
   }
-  const bool leftPinned =
-      n.inputs.empty() || contains(a.pinnedLeftSet, n.inputs[0]);
-  const bool rightPinned =
-      n.inputs.size() < 2 || contains(a.pinnedRightSet, n.inputs[1]);
   a.swapped[op] = false;
-  if (leftPinned && rightPinned) {
+  if (pinsAlreadyPinned(a, n)) {
     // Pass-1 state unchanged, so every pass-2 decision replays identically:
     // the op joins without moving any signal.
     return true;
@@ -157,22 +160,9 @@ bool appendToArrangement(const dfg::Dfg& g, MuxArrangement& a, dfg::NodeId op) {
 MuxDelta appendDelta(const dfg::Dfg& g, const MuxArrangement& base,
                      dfg::NodeId op) {
   const dfg::Node& n = g.node(op);
-  MuxDelta d;
   trace::bump(trace::Counter::MuxDeltaIncremental);
-  if (dfg::isCommutative(n.kind) && n.inputs.size() == 2) {
-    const dfg::NodeId x = n.inputs[0];
-    const dfg::NodeId y = n.inputs[1];
-    const int costNatural =
-        (contains(base.leftSet, x) ? 0 : 1) + (contains(base.rightSet, y) ? 0 : 1);
-    const int costSwapped =
-        (contains(base.leftSet, y) ? 0 : 1) + (contains(base.rightSet, x) ? 0 : 1);
-    d.swapped = costSwapped < costNatural;
-    const dfg::NodeId l = d.swapped ? y : x;
-    const dfg::NodeId r = d.swapped ? x : y;
-    d.left = base.left.size() + (contains(base.leftSet, l) ? 0 : 1);
-    d.right = base.right.size() + (contains(base.rightSet, r) ? 0 : 1);
-    return d;
-  }
+  if (isCommutativePair(n)) return commutativeDelta(base, n);
+  MuxDelta d;
   d.left = base.left.size() +
            (n.inputs.empty() || contains(base.leftSet, n.inputs[0]) ? 0 : 1);
   d.right = base.right.size() +

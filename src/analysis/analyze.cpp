@@ -13,7 +13,7 @@ AnalyzeResult analyzeDesign(const dfg::Dfg& g, const celllib::CellLibrary& lib,
                             const AnalyzeOptions& opts) {
   const trace::Span span("analyze");
   AnalyzeResult r;
-  r.dataflow = dataflow::lintDataflow(g, opts.dataflow);
+  r.dataflow = dataflow::lintDataflow(g);
   r.report.merge(r.dataflow.report);
   if (!opts.runTiming) return r;
 
@@ -41,12 +41,8 @@ AnalyzeResult analyzeDesign(const dfg::Dfg& g, const celllib::CellLibrary& lib,
   try {
     const rtl::Datapath dp = rtl::buildDatapath(
         g, lib, sched.schedule, rtl::bindByColumns(g, lib, sched.schedule));
-    timing::TimingOptions to;
-    to.clockNs = opts.constraints.clockNs;
-    to.clockSet = opts.clockSet;
-    to.model = opts.model;
-    to.nearCriticalFraction = opts.nearCriticalFraction;
-    r.timing = timing::analyzeTiming(dp, to);
+    r.timing = timing::analyzeTiming(
+        dp, {.clockNs = opts.constraints.clockNs, .clockSet = opts.clockSet});
     r.timingRan = true;
     r.report.merge(r.timing.diagnostics);
   } catch (const std::exception& e) {

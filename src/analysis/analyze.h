@@ -17,8 +17,6 @@
 namespace mframe::analysis {
 
 struct AnalyzeOptions {
-  dataflow::DataflowOptions dataflow;
-
   /// Synthesize and time the design. When false only the OPT passes run.
   bool runTiming = true;
   /// Control-step budget for the MFS schedule backing the STA; 0 uses the
@@ -30,8 +28,6 @@ struct AnalyzeOptions {
   /// chained paths to TIM002 instead of TIM001/TIM004.
   sched::Constraints constraints;
   bool clockSet = false;
-  timing::DelayModel model;
-  double nearCriticalFraction = 0.9;
 };
 
 struct AnalyzeResult {

@@ -187,13 +187,6 @@ DefState inStateOf(int s, const ReachResult& reach, const StepIndex& idx,
 
 // ------------------------------------------------------------- provenance
 
-std::string formatPath(const std::vector<int>& path) {
-  std::string s = "reachable path:";
-  for (std::size_t i = 0; i < path.size(); ++i)
-    s += util::format("%s%d", i == 0 ? " " : " -> ", path[i]);
-  return s;
-}
-
 /// A reset path to `target` along which no visited state latches register
 /// `reg` — the concrete witness behind a must-defined miss. Falls back to
 /// the plain BFS path when blocking finds nothing (cannot happen for a
@@ -379,25 +372,8 @@ void checkUnreachable(const StepIndex& idx, const ReachResult& reach,
 void checkDeadMuxInputs(const StepIndex& idx, const ReachResult& reach,
                         LintReport& report) {
   const dfg::Dfg& g = *idx.d->graph;
-  const std::size_t numAlus = idx.d->alus.size();
-  // used[alu][0 = left, 1 = right] = selected source indices
-  std::vector<std::array<std::vector<char>, 2>> used(numAlus);
-  for (std::size_t a = 0; a < numAlus; ++a) {
-    used[a][0].assign(idx.d->leftPort[a].sources.size(), 0);
-    used[a][1].assign(idx.d->rightPort[a].sources.size(), 0);
-  }
-  for (int s = 1; s < reach.numStates; ++s) {
-    if (!reach.reachable[static_cast<std::size_t>(s)]) continue;
-    for (const rtl::MicroOp* m : idx.issues[static_cast<std::size_t>(s)])
-      for (const PortRead& r : readsOf(idx, *m)) {
-        const auto a = static_cast<std::size_t>(m->alu);
-        const std::size_t side = r.port[0] == 'l' ? 0 : 1;
-        const std::size_t sel =
-            r.select >= 0 ? static_cast<std::size_t>(r.select) : 0;
-        if (sel < used[a][side].size()) used[a][side][sel] = 1;
-      }
-  }
-  for (std::size_t a = 0; a < numAlus; ++a)
+  const auto used = usedSelects(idx, reach);
+  for (std::size_t a = 0; a < used.size(); ++a)
     for (std::size_t side = 0; side < 2; ++side) {
       const alloc::PortWiring& w =
           side == 0 ? idx.d->leftPort[a] : idx.d->rightPort[a];
@@ -503,6 +479,35 @@ AuditResult auditDesign(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
   trace::bump(trace::Counter::AuditFindings,
               static_cast<std::uint64_t>(r.report.size()));
   return r;
+}
+
+std::string formatPath(const std::vector<int>& path) {
+  std::string s = "reachable path:";
+  for (std::size_t i = 0; i < path.size(); ++i)
+    s += util::format("%s%d", i == 0 ? " " : " -> ", path[i]);
+  return s;
+}
+
+std::vector<std::array<std::vector<char>, 2>> usedSelects(
+    const StepIndex& idx, const ReachResult& reach) {
+  const std::size_t numAlus = idx.d->alus.size();
+  std::vector<std::array<std::vector<char>, 2>> used(numAlus);
+  for (std::size_t a = 0; a < numAlus; ++a) {
+    used[a][0].assign(idx.d->leftPort[a].sources.size(), 0);
+    used[a][1].assign(idx.d->rightPort[a].sources.size(), 0);
+  }
+  for (int s = 1; s < reach.numStates; ++s) {
+    if (!reach.reachable[static_cast<std::size_t>(s)]) continue;
+    for (const rtl::MicroOp* m : idx.issues[static_cast<std::size_t>(s)])
+      for (const PortRead& r : readsOf(idx, *m)) {
+        const auto a = static_cast<std::size_t>(m->alu);
+        const std::size_t side = r.port[0] == 'l' ? 0 : 1;
+        const std::size_t sel =
+            r.select >= 0 ? static_cast<std::size_t>(r.select) : 0;
+        if (sel < used[a][side].size()) used[a][side][sel] = 1;
+      }
+  }
+  return used;
 }
 
 std::string renderAuditJson(const AuditResult& r, const dfg::Dfg& g) {

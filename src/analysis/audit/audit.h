@@ -28,6 +28,7 @@
 // reports and counters are bit-identical for every jobs value.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "rtl/controller.h"
 #include "rtl/datapath.h"
 #include "rtl/microcode.h"
+#include "rtl/step_index.h"
 
 namespace mframe::analysis::audit {
 
@@ -68,5 +70,15 @@ std::string renderAuditJson(const AuditResult& r, const dfg::Dfg& g);
 
 /// One-line human summary ("7/7 states reachable, 14 read checks, clean").
 std::string renderAuditSummary(const AuditResult& r);
+
+/// The provenance line naming a reset path ("reachable path: 0 -> 1 -> 3"),
+/// shared by the AUD and WID findings.
+std::string formatPath(const std::vector<int>& path);
+
+/// The mux selects exercised on the reachable states of `reach`:
+/// used[alu][0 = left / 1 = right][select]. AUD004 reports the selects no
+/// state uses; WID004 compares two reachability views of them.
+std::vector<std::array<std::vector<char>, 2>> usedSelects(
+    const rtl::StepIndex& idx, const ReachResult& reach);
 
 }  // namespace mframe::analysis::audit

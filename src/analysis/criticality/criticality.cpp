@@ -20,6 +20,12 @@ double quantize(double v) { return std::round(v * 1e6) / 1e6; }
 /// Top of the score lattice: worst seed (2.0) plus every bonus.
 constexpr double kTopScore = 2.25;
 
+/// Per-dependence-hop decay of a propagated score.
+constexpr double kDecay = 0.9;
+
+/// Operations with score >= kThreshold are reported as critical.
+constexpr double kThreshold = 0.5;
+
 /// Backward max-propagation with decay. `base[n]` holds the node's own seed
 /// severity plus its structural bonus; a node's score is the larger of its
 /// own base and the decayed best score among its consumers. Monotone: base
@@ -27,14 +33,13 @@ constexpr double kTopScore = 2.25;
 struct CriticalityDomain {
   using Value = double;
   const std::vector<double>& base;
-  double decay;
 
   Value initial(const dfg::Node& n) const { return quantize(base[n.id]); }
 
   Value transfer(const dfg::Node& n, const std::vector<Value>& deps) const {
     double best = 0.0;
     for (double d : deps) best = std::max(best, d);
-    return quantize(std::max(base[n.id], decay * best));
+    return quantize(std::max(base[n.id], kDecay * best));
   }
 
   static Value widen(const Value& previous, const Value& next) {
@@ -59,14 +64,13 @@ int muxLevels(std::size_t sources) {
 CriticalityResult analyzeCriticality(const rtl::Datapath& d,
                                      const timing::TimingReport& timing,
                                      const sched::SlackReport& slack,
-                                     const dataflow::DataflowResult* df,
-                                     const CriticalityOptions& opt) {
+                                     const dataflow::DataflowResult* df) {
   const dfg::Dfg& g = *d.graph;
   CriticalityResult r;
   r.score.assign(g.size(), 0.0);
   r.observedDelayNs.assign(g.size(), 0.0);
 
-  const double clockNs = opt.clockNs > 0 ? opt.clockNs : 100.0;
+  const double clockNs = timing.clockNs > 0 ? timing.clockNs : 100.0;
 
   // Physically observed per-op delay: the bound module's worst-case delay
   // plus the deepest input-port mux tree plus one shared-line hop. This is
@@ -80,8 +84,9 @@ CriticalityResult analyzeCriticality(const rtl::Datapath& d,
       levels = std::max(levels, muxLevels(d.leftPort[idx].sources.size()));
     if (idx < d.rightPort.size())
       levels = std::max(levels, muxLevels(d.rightPort[idx].sources.size()));
-    r.observedDelayNs[op] =
-        m.delayNs + levels * opt.model.muxLevelNs + opt.model.busNs;
+    r.observedDelayNs[op] = m.delayNs +
+                            levels * timing::kDelayModel.muxLevelNs +
+                            timing::kDelayModel.busNs;
   }
 
   // Seeds: violating endpoints, normalized to (1, 2] by severity.
@@ -108,7 +113,7 @@ CriticalityResult analyzeCriticality(const rtl::Datapath& d,
     }
   }
 
-  CriticalityDomain domain{base, opt.decay};
+  CriticalityDomain domain{base};
   auto fix = dataflow::solve(g, domain, dataflow::Direction::Backward);
   r.score = std::move(fix.values);
   r.engineVisits = fix.visits;
@@ -116,7 +121,7 @@ CriticalityResult analyzeCriticality(const rtl::Datapath& d,
 
   for (const dfg::NodeId op : g.operations()) {
     r.ranked.push_back(op);
-    if (r.score[op] >= opt.threshold) r.critical.push_back(op);
+    if (r.score[op] >= kThreshold) r.critical.push_back(op);
   }
   std::stable_sort(r.ranked.begin(), r.ranked.end(),
                    [&](dfg::NodeId a, dfg::NodeId b) {

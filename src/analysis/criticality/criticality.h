@@ -25,34 +25,22 @@
 
 namespace mframe::analysis::criticality {
 
-struct CriticalityOptions {
-  /// Per-dependence-hop decay of a propagated score.
-  double decay = 0.9;
-  /// Operations with score >= threshold are reported as critical.
-  double threshold = 0.5;
-  /// Severity normalization for seed scores (1 + min(1, -slack/clock)).
-  double clockNs = 100.0;
-  /// Interconnect overheads folded into observedDelayNs (mux tree + one
-  /// shared-line hop on top of the bound module's delay).
-  timing::DelayModel model;
-};
-
 /// Per-operation criticality over the full graph of a scheduled datapath.
 struct CriticalityResult {
   /// Score per node (indexed by NodeId; non-operations stay 0). Seeds start
-  /// at 1 + min(1, -slackNs/clockNs) in (1, 2]; propagated scores decay by
-  /// `decay` per hop; schedule-critical ops get +0.05, OPT001/OPT002
-  /// findings +0.02.
+  /// at 1 + min(1, -slackNs/clockNs) in (1, 2], normalized by the STA's
+  /// clock; propagated scores decay by 0.9 per hop; schedule-critical ops
+  /// get +0.05, OPT001/OPT002 findings +0.02.
   std::vector<double> score;
   /// Physically observed per-op delay: bound module delay + worst-port mux
-  /// tree + one bus hop. This is what the scheduler *should* have assumed —
+  /// tree + one bus hop, priced with timing::kDelayModel. This is what the scheduler *should* have assumed —
   /// the tune loop re-schedules the cone against these numbers.
   std::vector<double> observedDelayNs;
   /// Violating endpoints (slack < 0), ascending op id — the cone seeds.
   std::vector<dfg::NodeId> seeds;
   /// All operations, descending score, ties broken by ascending id.
   std::vector<dfg::NodeId> ranked;
-  /// Operations with score >= threshold, ascending id.
+  /// Operations with score >= 0.5, ascending id.
   std::vector<dfg::NodeId> critical;
   int engineVisits = 0;  ///< monotone-engine node evaluations
   bool widened = false;  ///< widening threshold fired (never on a DAG)
@@ -68,7 +56,6 @@ struct CriticalityResult {
 CriticalityResult analyzeCriticality(const rtl::Datapath& d,
                                      const timing::TimingReport& timing,
                                      const sched::SlackReport& slack,
-                                     const dataflow::DataflowResult* df = nullptr,
-                                     const CriticalityOptions& opt = {});
+                                     const dataflow::DataflowResult* df = nullptr);
 
 }  // namespace mframe::analysis::criticality

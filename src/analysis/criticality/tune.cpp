@@ -43,12 +43,8 @@ struct Pipeline {
 Pipeline runPipeline(const dfg::Dfg& g, const celllib::CellLibrary& lib,
                      const sched::Schedule& s, const TuneOptions& opt) {
   Pipeline p{rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s)), {}};
-  timing::TimingOptions to;
-  to.clockNs = opt.constraints.clockNs;
-  to.clockSet = opt.clockSet;
-  to.model = opt.model;
-  to.nearCriticalFraction = opt.nearCriticalFraction;
-  p.timing = timing::analyzeTiming(p.dp, to);
+  p.timing = timing::analyzeTiming(
+      p.dp, {.clockNs = opt.constraints.clockNs, .clockSet = true});
   return p;
 }
 
@@ -56,9 +52,9 @@ Pipeline runPipeline(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 /// period minus the register overheads (clk-to-q, setup, one bus hop) the
 /// scheduler's chain accounting cannot see.
 double deratedClock(const TuneOptions& opt) {
-  const double derated = opt.constraints.clockNs -
-                         (opt.model.regClkToQNs + opt.model.setupNs +
-                          opt.model.busNs);
+  const timing::DelayModel& m = timing::kDelayModel;
+  const double derated =
+      opt.constraints.clockNs - (m.regClkToQNs + m.setupNs + m.busNs);
   return derated > 0 ? derated : opt.constraints.clockNs;
 }
 
@@ -132,12 +128,9 @@ TuneResult tuneDesign(const dfg::Dfg& g, const celllib::CellLibrary& lib,
     ++r.iterations;
     trace::bump(trace::Counter::TuneIterations);
 
-    CriticalityOptions co = opt.crit;
-    co.clockNs = opt.constraints.clockNs;
-    co.model = opt.model;
     const auto slack = sched::analyzeSlack(r.schedule, opt.constraints);
     const CriticalityResult crit = analyzeCriticality(
-        r.datapath, r.timing, slack ? *slack : sched::SlackReport{}, &df, co);
+        r.datapath, r.timing, slack ? *slack : sched::SlackReport{}, &df);
     if (crit.seeds.empty()) {
       r.error = "worst slack negative but no violating endpoint to seed on";
       break;

@@ -36,15 +36,12 @@ namespace mframe::analysis::criticality {
 
 struct TuneOptions {
   /// Scheduling constraints for the enclosing schedule. clockNs is the
-  /// control-step period the STA audits against.
+  /// control-step period the STA audits against, always as a user clock
+  /// constraint: tune is meaningless without one.
   sched::Constraints constraints;
-  bool clockSet = true;  ///< tune is meaningless without a clock constraint
   int budget = 8;        ///< maximum tune iterations
   int hops = 2;          ///< cone radius around violating endpoints
   int jobs = 1;          ///< worker threads for candidate evaluation
-  timing::DelayModel model;
-  double nearCriticalFraction = 0.9;
-  CriticalityOptions crit;
   /// Test hook: applied once to the first accepted candidate schedule
   /// *after* stitch verification but *before* the prove gate — the
   /// prove-rejection tests corrupt a stitch here and require tune to refuse

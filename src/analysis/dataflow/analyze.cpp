@@ -55,13 +55,13 @@ bool isRelational(OpKind k) {
 
 }  // namespace
 
-DataflowResult lintDataflow(const dfg::Dfg& g, const DataflowOptions& opts) {
+DataflowResult lintDataflow(const dfg::Dfg& g) {
   const trace::Span span("dataflow");
   DataflowResult r;
   int visits = 0;
-  r.constants = analyzeConstants(g, opts.wordWidth, &visits);
+  r.constants = analyzeConstants(g, kWordWidth, &visits);
   r.engineVisits += visits;
-  r.ranges = analyzeRanges(g, opts.wordWidth, &visits);
+  r.ranges = analyzeRanges(g, kWordWidth, &visits);
   r.engineVisits += visits;
   r.widths = inferWidths(r.ranges);
   r.demand = analyzeDemand(g, r.constants, &visits);
@@ -119,8 +119,8 @@ DataflowResult lintDataflow(const dfg::Dfg& g, const DataflowOptions& opts) {
       continue;
     // A foldable op disappears entirely (OPT001); width advice is moot.
     if (r.constants[id].isConst()) continue;
-    if (r.ranges[id].isFull(opts.wordWidth)) continue;
-    const int declared = n.width > 0 ? n.width : opts.wordWidth;
+    if (r.ranges[id].isFull(kWordWidth)) continue;
+    const int declared = n.width > 0 ? n.width : kWordWidth;
     if (declared > r.widths[id])
       r.report.add(optDiag(
           kOptOverWideOp, n,

@@ -20,10 +20,6 @@
 
 namespace mframe::analysis::dataflow {
 
-struct DataflowOptions {
-  int wordWidth = 16;  ///< analysis word width (matches the simulators)
-};
-
 /// Everything the passes learned about one graph, plus the OPT report.
 struct DataflowResult {
   std::vector<ConstValue> constants;
@@ -37,7 +33,7 @@ struct DataflowResult {
 };
 
 /// Run constant / range / liveness / CSE analysis and emit OPT diagnostics.
-DataflowResult lintDataflow(const dfg::Dfg& g, const DataflowOptions& opts = {});
+DataflowResult lintDataflow(const dfg::Dfg& g);
 
 /// Fold constant-valued operations into Const nodes and drop operations
 /// whose results are never needed (plus Const leaves orphaned by the

@@ -21,9 +21,14 @@
 
 namespace mframe::analysis::dataflow {
 
+/// The analysis word width of every dataflow pass, OPT lint and the
+/// FSM×datapath range analysis (matches the simulators).
+inline constexpr int kWordWidth = 16;
+
 /// Constant value of every node, indexed by NodeId. `visits` (optional)
 /// receives the engine's node-evaluation count.
-std::vector<ConstValue> analyzeConstants(const dfg::Dfg& g, int wordWidth = 16,
+std::vector<ConstValue> analyzeConstants(const dfg::Dfg& g,
+                                         int wordWidth = kWordWidth,
                                          int* visits = nullptr);
 
 /// One operation's interval transfer at the analysis word width: the
@@ -39,7 +44,8 @@ Interval intervalTransfer(dfg::OpKind kind, const Interval& a,
 /// declared width is assumed to range over [0, 2^width - 1]; declared
 /// widths on operations do NOT constrain ranges (evalOp masks at the
 /// analysis word width only), they are what OPT004 audits.
-std::vector<Interval> analyzeRanges(const dfg::Dfg& g, int wordWidth = 16,
+std::vector<Interval> analyzeRanges(const dfg::Dfg& g,
+                                    int wordWidth = kWordWidth,
                                     int* visits = nullptr);
 
 /// Bits needed per node under `ranges` (Interval::widthNeeded).

@@ -20,19 +20,15 @@ namespace mframe::analysis::range {
 
 namespace {
 
+using audit::formatPath;
 using audit::ReachResult;
+using audit::usedSelects;
 using dataflow::Interval;
+using dataflow::kWordWidth;
 using dfg::NodeId;
 using rtl::PortRead;
 using rtl::StepIndex;
 using sim::Word;
-
-std::string formatPath(const std::vector<int>& path) {
-  std::string s = "reachable path:";
-  for (std::size_t i = 0; i < path.size(); ++i)
-    s += util::format("%s%d", i == 0 ? " " : " -> ", path[i]);
-  return s;
-}
 
 std::string formatInterval(const Interval& v) {
   return util::format("[%llu, %llu]", static_cast<unsigned long long>(v.lo),
@@ -44,16 +40,16 @@ std::string formatInterval(const Interval& v) {
 /// The architectural range of a leaf signal: a constant is itself, a primary
 /// input ranges over its declared width (the same seeding analyzeRanges
 /// uses), anything else is unknown.
-Interval nodeRange(const dfg::Node& n, int wordWidth) {
+Interval nodeRange(const dfg::Node& n) {
   if (n.kind == dfg::OpKind::Const)
-    return Interval::constant(static_cast<Word>(n.constValue), wordWidth);
+    return Interval::constant(static_cast<Word>(n.constValue), kWordWidth);
   if (n.kind == dfg::OpKind::Input && n.width > 0)
-    return Interval::full(std::min(n.width, wordWidth));
-  return Interval::full(wordWidth);
+    return Interval::full(std::min(n.width, kWordWidth));
+  return Interval::full(kWordWidth);
 }
 
-RegFact undefFact(int wordWidth) {
-  return RegFact{false, Interval::full(wordWidth)};
+RegFact undefFact() {
+  return RegFact{false, Interval::full(kWordWidth)};
 }
 
 /// The interval an issued operation produces in a state whose incoming
@@ -61,20 +57,20 @@ RegFact undefFact(int wordWidth) {
 /// into their producer; node ids are topological, so the recursion is
 /// bounded by the DAG depth (the cap is defensive, mirroring opClean).
 Interval opInterval(const StepIndex& idx, NodeId op, const RangeState& in,
-                    int wordWidth, int depth = 0) {
-  if (depth > 64) return Interval::full(wordWidth);
+                    int depth = 0) {
+  if (depth > 64) return Interval::full(kWordWidth);
   const dfg::Node& n = idx.d->graph->node(op);
   switch (n.kind) {
     case dfg::OpKind::Input:
     case dfg::OpKind::Const:
-      return nodeRange(n, wordWidth);
+      return nodeRange(n);
     case dfg::OpKind::LoopSuper:
-      return Interval::full(wordWidth);
+      return Interval::full(kWordWidth);
     default:
       break;
   }
-  std::array<Interval, 2> operands{Interval::full(wordWidth),
-                                   Interval::full(wordWidth)};
+  std::array<Interval, 2> operands{Interval::full(kWordWidth),
+                                   Interval::full(kWordWidth)};
   for (std::size_t i = 0; i < n.inputs.size() && i < 2; ++i) {
     const NodeId sig = n.inputs[i];
     const alloc::Source* src = idx.wiredSource(op, sig);
@@ -84,43 +80,42 @@ Interval opInterval(const StepIndex& idx, NodeId op, const RangeState& in,
         if (src->index >= 0 &&
             static_cast<std::size_t>(src->index) < in.regs.size()) {
           const RegFact& f = in.regs[static_cast<std::size_t>(src->index)];
-          operands[i] = f.defined ? f.val : Interval::full(wordWidth);
+          operands[i] = f.defined ? f.val : Interval::full(kWordWidth);
         }
         break;
       case alloc::Source::Kind::AluOut:
-        operands[i] = opInterval(idx, sig, in, wordWidth, depth + 1);
+        operands[i] = opInterval(idx, sig, in, depth + 1);
         break;
       case alloc::Source::Kind::PrimaryInput:
       case alloc::Source::Kind::Constant:
-        operands[i] = nodeRange(idx.d->graph->node(sig), wordWidth);
+        operands[i] = nodeRange(idx.d->graph->node(sig));
         break;
     }
   }
   return dataflow::intervalTransfer(n.kind, operands[0], operands[1],
-                                    wordWidth);
+                                    kWordWidth);
 }
 
 /// The value latched by one RegLoad given incoming facts `in`.
 Interval latchInterval(const StepIndex& idx, const rtl::RegLoad& rl,
-                       const RangeState& in, int wordWidth) {
-  if (rl.fromAlu < 0) return nodeRange(idx.d->graph->node(rl.signal), wordWidth);
-  return opInterval(idx, rl.signal, in, wordWidth);
+                       const RangeState& in) {
+  if (rl.fromAlu < 0) return nodeRange(idx.d->graph->node(rl.signal));
+  return opInterval(idx, rl.signal, in);
 }
 
 // ------------------------------------------------------------- the lattice
 
-RangeState bottomState(std::size_t numRegs, int wordWidth) {
+RangeState bottomState(std::size_t numRegs) {
   RangeState s;
   s.reached = false;
-  s.regs.assign(numRegs, undefFact(wordWidth));
+  s.regs.assign(numRegs, undefFact());
   return s;
 }
 
 /// Join (may-union) of two states. A register defined on only one incoming
 /// path is undefined at the join — its concrete value may be garbage — and
 /// undefined facts normalize to the full range so equality is canonical.
-RangeState joinStates(const RangeState& a, const RangeState& b,
-                      int wordWidth) {
+RangeState joinStates(const RangeState& a, const RangeState& b) {
   if (!a.reached) return b;
   if (!b.reached) return a;
   RangeState j;
@@ -130,19 +125,19 @@ RangeState joinStates(const RangeState& a, const RangeState& b,
     if (a.regs[r].defined && b.regs[r].defined)
       j.regs[r] = RegFact{true, Interval::join(a.regs[r].val, b.regs[r].val)};
     else
-      j.regs[r] = undefFact(wordWidth);
+      j.regs[r] = undefFact();
   }
   return j;
 }
 
 /// State-0 facts: primary-input preloads are defined with their declared
 /// input ranges; everything else is garbage.
-RangeState entryState(const StepIndex& idx, int wordWidth) {
-  RangeState s = bottomState(idx.numRegs, wordWidth);
+RangeState entryState(const StepIndex& idx) {
+  RangeState s = bottomState(idx.numRegs);
   s.reached = true;
   for (const rtl::RegLoad* rl : idx.loads[0]) {
     const auto r = static_cast<std::size_t>(rl->reg);
-    const Interval v = nodeRange(idx.d->graph->node(rl->signal), wordWidth);
+    const Interval v = nodeRange(idx.d->graph->node(rl->signal));
     s.regs[r] = s.regs[r].defined
                     ? RegFact{true, Interval::join(s.regs[r].val, v)}
                     : RegFact{true, v};
@@ -153,14 +148,13 @@ RangeState entryState(const StepIndex& idx, int wordWidth) {
 /// Apply state `step`'s latches to the incoming facts. Several writers of
 /// one register in the same step (exclusive branches folded into one row)
 /// leave it holding any of their values: the join.
-RangeState applyLatches(const StepIndex& idx, int step, RangeState in,
-                        int wordWidth) {
+RangeState applyLatches(const StepIndex& idx, int step, RangeState in) {
   const auto& ls = idx.loads[static_cast<std::size_t>(step)];
   for (std::size_t i = 0; i < ls.size();) {
     std::size_t j = i;
     Interval v{0, 0};
     while (j < ls.size() && ls[j]->reg == ls[i]->reg) {
-      const Interval lv = latchInterval(idx, *ls[j], in, wordWidth);
+      const Interval lv = latchInterval(idx, *ls[j], in);
       v = j == i ? lv : Interval::join(v, lv);
       ++j;
     }
@@ -183,23 +177,21 @@ struct RangeProductDomain {
   using Value = RangeState;
 
   const StepIndex* idx;
-  int wordWidth;
 
   Value initial(int node) const {
-    return node == 0 ? entryState(*idx, wordWidth)
-                     : bottomState(idx->numRegs, wordWidth);
+    return node == 0 ? entryState(*idx) : bottomState(idx->numRegs);
   }
   Value transfer(int node, const std::vector<Value>& deps) const {
-    if (node == 0) return entryState(*idx, wordWidth);
-    Value in = bottomState(idx->numRegs, wordWidth);
-    for (const Value& d : deps) in = joinStates(in, d, wordWidth);
+    if (node == 0) return entryState(*idx);
+    Value in = bottomState(idx->numRegs);
+    for (const Value& d : deps) in = joinStates(in, d);
     if (!in.reached) return in;
-    return applyLatches(*idx, node, std::move(in), wordWidth);
+    return applyLatches(*idx, node, std::move(in));
   }
   Value widen(const Value& previous, const Value& next) const {
     if (!previous.reached) return next;
     if (!next.reached) return previous;
-    const Word mask = sim::maskFor(wordWidth);
+    const Word mask = sim::maskFor(kWordWidth);
     Value w = next;
     for (std::size_t r = 0; r < w.regs.size(); ++r) {
       if (!w.regs[r].defined) continue;
@@ -216,10 +208,10 @@ struct RangeProductDomain {
 /// Incoming facts of a state: the join of its predecessors' solved
 /// out-states (state 0 has none; its out-state is the entry itself).
 RangeState inStateOf(int s, const ReachResult& reach, const StepIndex& idx,
-                     const std::vector<RangeState>& out, int wordWidth) {
-  RangeState in = bottomState(idx.numRegs, wordWidth);
+                     const std::vector<RangeState>& out) {
+  RangeState in = bottomState(idx.numRegs);
   for (int p : reach.preds[static_cast<std::size_t>(s)])
-    in = joinStates(in, out[static_cast<std::size_t>(p)], wordWidth);
+    in = joinStates(in, out[static_cast<std::size_t>(p)]);
   return in;
 }
 
@@ -284,18 +276,17 @@ struct StateFindings {
 StateFindings scanState(int s, const StepIndex& idx, const ReachResult& reach,
                         const std::vector<RangeState>& out,
                         const std::vector<rtl::DeclaredWidth>& regWidths,
-                        const std::vector<rtl::DeclaredWidth>& aluWidths,
-                        int wordWidth) {
+                        const std::vector<rtl::DeclaredWidth>& aluWidths) {
   StateFindings f;
   const dfg::Dfg& g = *idx.d->graph;
-  const RangeState in = inStateOf(s, reach, idx, out, wordWidth);
+  const RangeState in = inStateOf(s, reach, idx, out);
 
   // WID003 / WID002: every issued operation's inferred result range against
   // its own declared width, or — when it declares none — against the width
   // its ALU's shared output line inherited from a declaring co-tenant.
   for (const rtl::MicroOp* m : idx.issues[static_cast<std::size_t>(s)]) {
     const dfg::Node& n = g.node(m->op);
-    const Interval rv = opInterval(idx, m->op, in, wordWidth);
+    const Interval rv = opInterval(idx, m->op, in);
     if (n.width > 0 && n.width <= 64) {
       if (rv.hi > sim::maskFor(n.width)) {
         Diagnostic d = diag(
@@ -346,7 +337,7 @@ StateFindings scanState(int s, const StepIndex& idx, const ReachResult& reach,
     std::size_t j = i;
     Interval sv{0, 0};
     while (j < ls.size() && ls[j]->reg == ls[i]->reg) {
-      const Interval lv = latchInterval(idx, *ls[j], in, wordWidth);
+      const Interval lv = latchInterval(idx, *ls[j], in);
       sv = j == i ? lv : Interval::join(sv, lv);
       ++j;
     }
@@ -374,7 +365,7 @@ StateFindings scanState(int s, const StepIndex& idx, const ReachResult& reach,
             ls[a]->fromAlu < 0
                 ? "a primary input"
                 : util::format("ALU%d", ls[a]->fromAlu).c_str(),
-            formatInterval(latchInterval(idx, *ls[a], in, wordWidth))
+            formatInterval(latchInterval(idx, *ls[a], in))
                 .c_str()));
       d.provenance.push_back(util::format(
           "R%d sized to %d bit(s) by declared tenant '%s'", ls[i]->reg,
@@ -387,30 +378,6 @@ StateFindings scanState(int s, const StepIndex& idx, const ReachResult& reach,
 }
 
 // ----------------------------------------------------------- global checks
-
-/// The mux selects exercised on the reachable states of `reach`:
-/// used[alu][0 = left / 1 = right][select].
-std::vector<std::array<std::vector<char>, 2>> usedSelects(
-    const StepIndex& idx, const ReachResult& reach) {
-  const std::size_t numAlus = idx.d->alus.size();
-  std::vector<std::array<std::vector<char>, 2>> used(numAlus);
-  for (std::size_t a = 0; a < numAlus; ++a) {
-    used[a][0].assign(idx.d->leftPort[a].sources.size(), 0);
-    used[a][1].assign(idx.d->rightPort[a].sources.size(), 0);
-  }
-  for (int s = 1; s < reach.numStates; ++s) {
-    if (!reach.reachable[static_cast<std::size_t>(s)]) continue;
-    for (const rtl::MicroOp* m : idx.issues[static_cast<std::size_t>(s)])
-      for (const PortRead& r : readsOf(idx, *m)) {
-        const auto a = static_cast<std::size_t>(m->alu);
-        const std::size_t side = r.port[0] == 'l' ? 0 : 1;
-        const std::size_t sel =
-            r.select >= 0 ? static_cast<std::size_t>(r.select) : 0;
-        if (sel < used[a][side].size()) used[a][side][sel] = 1;
-      }
-  }
-  return used;
-}
 
 /// WID004: mux data inputs that symbolic reachability keeps alive but the
 /// value analysis proves dead — every state selecting them fell to pruning.
@@ -519,13 +486,12 @@ RangeResult analyzeDesignRanges(const rtl::Datapath& d,
 
   RangeResult r;
   const StepIndex idx(d, fsm);
-  const int W = opt.wordWidth;
   r.reach = audit::reachSteps(fsm);
 
   // 1. Decide branch conditions with the DFG-level interval analysis and
   //    prune the edges the values refute; the product fixpoint and every
   //    proof below run on the refined graph.
-  const std::vector<Interval> dfgRanges = dataflow::analyzeRanges(*d.graph, W);
+  const std::vector<Interval> dfgRanges = dataflow::analyzeRanges(*d.graph);
   r.refinedFsm = fsm;
   pruneDecidedEdges(fsm, *d.graph, dfgRanges, r.refinedFsm, r.pruned);
   r.refined = r.pruned.empty() ? r.reach : audit::reachSteps(r.refinedFsm);
@@ -534,7 +500,7 @@ RangeResult analyzeDesignRanges(const rtl::Datapath& d,
   //    early at loop heads (intervals form a tall lattice; the default
   //    budget would crawl).
   int widenings = 0;
-  const RangeProductDomain domain{&idx, W};
+  const RangeProductDomain domain{&idx};
   auto solution = dataflow::solveGraph(
       r.refined.numStates, r.refined.preds, domain,
       dataflow::SolveGraphOptions{8, &widenings});
@@ -554,7 +520,7 @@ RangeResult analyzeDesignRanges(const rtl::Datapath& d,
     const int s = i + 1;
     if (r.refined.reachable[static_cast<std::size_t>(s)])
       slots[static_cast<std::size_t>(s)] =
-          scanState(s, idx, r.refined, r.values, regWidths, aluWidths, W);
+          scanState(s, idx, r.refined, r.values, regWidths, aluWidths);
   });
   for (int s = 1; s < r.refined.numStates; ++s)
     for (Diagnostic& d2 : slots[static_cast<std::size_t>(s)].diags)

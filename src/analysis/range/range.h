@@ -48,8 +48,7 @@
 namespace mframe::analysis::range {
 
 struct RangeOptions {
-  int jobs = 1;        ///< workers for the per-state scan (results identical)
-  int wordWidth = 16;  ///< analysis word width (same default as analyze)
+  int jobs = 1;  ///< workers for the per-state scan (results identical)
   std::vector<RegAssert> asserts;  ///< user assertions (from .bind)
 };
 

@@ -13,6 +13,10 @@ namespace {
 using alloc::Source;
 using dfg::NodeId;
 
+/// TIM004 fires when a clean path's arrival exceeds this fraction of its
+/// budget.
+constexpr double kNearCriticalFraction = 0.9;
+
 /// 2:1 stages of a tree mux with `inputs` data inputs (0 for a plain wire).
 int muxLevels(std::size_t inputs) {
   int levels = 0;
@@ -73,7 +77,7 @@ struct Walker {
     const int alu = d.aluOf.at(id);
     const celllib::Module& module =
         d.lib->module(d.alus[static_cast<std::size_t>(alu)].module);
-    const DelayModel& m = opts.model;
+    const DelayModel& m = kDelayModel;
     OpTiming& t = timing[id];
 
     double worstArrival = 0.0;
@@ -179,7 +183,7 @@ TimingReport analyzeTiming(const rtl::Datapath& d, const TimingOptions& opts) {
     if (dfg::isSchedulable(g.node(id).kind) && d.aluOf.count(id))
       walker.walkOp(id);
 
-  const DelayModel& m = opts.model;
+  const DelayModel& m = kDelayModel;
   bool haveWorst = false;
   for (NodeId id = 0; id < g.size(); ++id) {
     const dfg::Node& node = g.node(id);
@@ -265,7 +269,7 @@ TimingReport analyzeTiming(const rtl::Datapath& d, const TimingOptions& opts) {
         diag.fixit = "raise --clock, shorten the chain, or allocate more steps";
         r.diagnostics.add(std::move(diag));
       }
-    } else if (e.arrivalNs > opts.nearCriticalFraction * e.requiredNs) {
+    } else if (e.arrivalNs > kNearCriticalFraction * e.requiredNs) {
       r.diagnostics.add(timDiag(
           kTimNearCritical, e,
           util::format("'%s' uses %.1f of %.1f ns (%.0f%% of the budget, "

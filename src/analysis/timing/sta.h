@@ -27,7 +27,7 @@
 namespace mframe::analysis::timing {
 
 /// Interconnect/storage overheads the cell library does not model. The
-/// defaults are small relative to the ncr-like ALU delays, matching the
+/// values are small relative to the ncr-like ALU delays, matching the
 /// late-1980s standard-cell flavor of the rest of the repository.
 struct DelayModel {
   double muxLevelNs = 2.0;   ///< one 2:1 stage of a port mux tree
@@ -36,13 +36,12 @@ struct DelayModel {
   double setupNs = 1.0;      ///< register setup before the latching edge
 };
 
+/// The one delay model STA, criticality and tune's clock derating share.
+inline constexpr DelayModel kDelayModel{};
+
 struct TimingOptions {
   double clockNs = 100.0;  ///< control-step period to audit against
   bool clockSet = false;   ///< false: no user constraint (TIM002 territory)
-  DelayModel model;
-  /// TIM004 fires when a clean path's arrival exceeds this fraction of its
-  /// budget.
-  double nearCriticalFraction = 0.9;
 };
 
 /// Timing of one register-latched endpoint (one operation's result).

@@ -4,10 +4,12 @@
 
 #include "core/grid.h"
 #include "sched/timeframes.h"
+#include "trace/trace.h"
 
 namespace mframe::baseline {
 
 AsapResult runAsap(const dfg::Dfg& g, const sched::Constraints& c) {
+  const trace::Span span("asap");
   AsapResult res;
   if (auto err = g.validate()) {
     res.error = "invalid DFG: " + *err;

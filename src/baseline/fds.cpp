@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/grid.h"
+#include "trace/trace.h"
 #include "util/strings.h"
 
 namespace mframe::baseline {
@@ -42,6 +43,7 @@ bool propagate(const dfg::Dfg& g, int cs, std::vector<Frame>& f) {
 }  // namespace
 
 FdsResult runForceDirected(const dfg::Dfg& g, const sched::Constraints& c) {
+  const trace::Span span("fds");
   FdsResult res;
   if (auto err = g.validate()) {
     res.error = "invalid DFG: " + *err;

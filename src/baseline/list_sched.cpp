@@ -5,6 +5,7 @@
 
 #include "core/grid.h"
 #include "sched/timeframes.h"
+#include "trace/trace.h"
 #include "util/strings.h"
 
 namespace mframe::baseline {
@@ -15,6 +16,7 @@ using dfg::NodeId;
 }  // namespace
 
 ListSchedResult runListScheduling(const dfg::Dfg& g, const sched::Constraints& c) {
+  const trace::Span span("list");
   ListSchedResult res;
   if (auto err = g.validate()) {
     res.error = "invalid DFG: " + *err;

@@ -13,15 +13,14 @@
 
 namespace mframe::celllib {
 
-/// Options tweaking the default library; used by the ablation benches.
+/// Options tweaking the default library; the CLI sets pipelinedMultiplier
+/// for --pipelined-mults.
 struct NcrLikeOptions {
-  bool includeMultifunction = true;  ///< offer multi-op ALUs (MFSA merging)
   bool pipelinedMultiplier = false;  ///< add a 2-stage pipelined multiplier
-  double scale = 1.0;                ///< uniform area scale factor
 };
 
 /// Build the default library: registers, a nonlinear mux table, all
-/// single-function units and (optionally) a set of multifunction ALUs.
+/// single-function units and a set of multifunction ALUs.
 CellLibrary ncrLike(const NcrLikeOptions& opt = {});
 
 }  // namespace mframe::celllib

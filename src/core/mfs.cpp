@@ -118,13 +118,13 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
     return res;
   }
   // No schedule length or column budget can fix these inputs, so fail
-  // before the search instead of walking cs up to maxStepsCap.
+  // before the search instead of walking cs up to kMfsMaxStepsCap.
   if (auto why = unschedulableReason(g, c)) {
     res.error = *why;
     return res;
   }
 
-  for (; cs <= opt.maxStepsCap; ++cs) {
+  for (; cs <= kMfsMaxStepsCap; ++cs) {
     c.timeSteps = cs;
     auto tf = computeTimeFrames(g, c, &tfError);
     if (!tf) {
@@ -255,7 +255,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
             return res;
           }
           ++res.restarts;
-          if (res.restarts > opt.maxRestarts) {
+          if (res.restarts > kMfsMaxRestarts) {
             res.error = "restart budget exhausted";
             return res;
           }
@@ -282,7 +282,8 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
     }
     if (timeMode) break;  // fixed cs in time mode; csInfeasible can't happen
   }
-  res.error = util::format("no feasible schedule within %d steps", opt.maxStepsCap);
+  res.error =
+      util::format("no feasible schedule within %d steps", kMfsMaxStepsCap);
   return res;
 }
 

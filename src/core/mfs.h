@@ -22,6 +22,13 @@
 
 namespace mframe::core {
 
+/// Safety bound on "local rescheduling" restarts (Section 3.2: on an empty
+/// move frame, current_j is increased and placement redone).
+inline constexpr int kMfsMaxRestarts = 10000;
+
+/// Resource-constrained mode: upper bound on the schedule length searched.
+inline constexpr int kMfsMaxStepsCap = 4096;
+
 struct MfsOptions {
   sched::Constraints constraints;
 
@@ -36,13 +43,6 @@ struct MfsOptions {
   /// ops grab the best grid slots). Unknown/duplicate ids are ignored; the
   /// combined list is still made topologically consistent before use.
   std::vector<dfg::NodeId> priorityHint;
-
-  /// Safety bound on "local rescheduling" restarts (Section 3.2: on an empty
-  /// move frame, current_j is increased and placement redone).
-  int maxRestarts = 10000;
-
-  /// Resource-constrained mode: upper bound on the schedule length searched.
-  int maxStepsCap = 4096;
 
   /// Record the Liapunov trace (one value per move) for the monotonicity
   /// property tests; costs a little memory.

@@ -110,14 +110,6 @@ TEST(NcrLike, MultifunctionCheaperThanParts) {
   EXPECT_GT(addsub, std::max(add, sub));
 }
 
-TEST(NcrLike, ScaleOptionScalesEverything) {
-  const CellLibrary base = ncrLike();
-  const CellLibrary doubled = ncrLike({.scale = 2.0});
-  EXPECT_DOUBLE_EQ(doubled.regCost(), 2.0 * base.regCost());
-  EXPECT_DOUBLE_EQ(doubled.muxCost(3), 2.0 * base.muxCost(3));
-  EXPECT_DOUBLE_EQ(doubled.maxModuleArea(), 2.0 * base.maxModuleArea());
-}
-
 TEST(NcrLike, PipelinedMultiplierOnlyWhenRequested) {
   auto count = [](const CellLibrary& lib) {
     int n = 0;
@@ -127,11 +119,6 @@ TEST(NcrLike, PipelinedMultiplierOnlyWhenRequested) {
   };
   EXPECT_EQ(count(ncrLike()), 0);
   EXPECT_EQ(count(ncrLike({.pipelinedMultiplier = true})), 1);
-}
-
-TEST(NcrLike, NoMultifunctionOption) {
-  const CellLibrary lib = ncrLike({.includeMultifunction = false});
-  for (const Module& m : lib.modules()) EXPECT_EQ(m.caps.size(), 1u) << m.name;
 }
 
 }  // namespace

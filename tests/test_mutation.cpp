@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string_view>
 
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
@@ -43,6 +44,13 @@ GoodSchedule makeGood(std::uint32_t seed) {
   return gs;
 }
 
+/// Whether some verifier message names `what`.
+bool mentions(const std::vector<std::string>& messages, std::string_view what) {
+  for (const std::string& m : messages)
+    if (m.find(what) != std::string::npos) return true;
+  return false;
+}
+
 class MutationSeeds : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(MutationSeeds, StepCorruptionIsCaught) {
@@ -73,21 +81,20 @@ TEST_P(MutationSeeds, ColumnCollisionIsCaught) {
   GoodSchedule gs = makeGood(GetParam() + 50);
   const auto ops = gs.schedule.graph().operations();
   const dfg::Dfg& g = gs.schedule.graph();
-  // Force two same-type, overlapping ops onto one column.
+  // Move an op onto the (step, column) cell of another op of its type.
   for (NodeId a : ops) {
     for (NodeId b : ops) {
-      if (a == b) continue;
+      if (a == b || g.mutuallyExclusive(a, b)) continue;
       if (dfg::fuTypeOf(g.node(a).kind) != dfg::fuTypeOf(g.node(b).kind))
         continue;
-      if (gs.schedule.stepOf(a) != gs.schedule.stepOf(b)) continue;
-      if (gs.schedule.columnOf(a) == gs.schedule.columnOf(b)) continue;
       sched::Schedule s = gs.schedule;
-      s.place(b, s.stepOf(b), s.columnOf(a));
-      EXPECT_FALSE(sched::verifySchedule(s, gs.constraints).empty());
+      s.place(b, s.stepOf(a), s.columnOf(a));
+      EXPECT_TRUE(
+          mentions(sched::verifySchedule(s, gs.constraints), "occupancy"));
       return;
     }
   }
-  GTEST_SKIP() << "no same-type same-step pair in this seed";
+  FAIL() << "a 20-op random design has two ops of one FU type";
 }
 
 TEST_P(MutationSeeds, DroppedOpIsCaught) {
@@ -104,14 +111,13 @@ TEST_P(MutationSeeds, DroppedOpIsCaught) {
 TEST_P(MutationSeeds, TightenedResourceLimitIsCaught) {
   GoodSchedule gs = makeGood(GetParam() + 150);
   const auto fu = gs.schedule.fuCount();
-  for (const auto& [type, used] : fu) {
-    if (used < 2) continue;
-    sched::Constraints c = gs.constraints;
-    c.fuLimit[type] = used - 1;
-    EXPECT_FALSE(sched::verifySchedule(gs.schedule, c).empty());
-    return;
-  }
-  GTEST_SKIP() << "schedule uses single instances only";
+  if (fu.empty()) FAIL() << "a 20-op random design uses some FU type";
+  // One unit fewer than the schedule uses, down to 0 for a single unit.
+  const auto& [type, used] = *fu.begin();
+  sched::Constraints c = gs.constraints;
+  c.fuLimit[type] = used - 1;
+  EXPECT_TRUE(
+      mentions(sched::verifySchedule(gs.schedule, c), "resource limit"));
 }
 
 TEST_P(MutationSeeds, DatapathRebindIsCaught) {
@@ -165,12 +171,9 @@ TEST_P(MutationSeeds, RegisterOverlapIsCaught) {
   auto& regs = broken.regs.registers;
   for (std::size_t i : regs[1]) regs[0].push_back(i);
   regs.erase(regs.begin() + 1);
-  const auto v = rtl::verifyDatapath(broken, ao.constraints,
-                                     rtl::DesignStyle::Unrestricted);
-  bool overlapFlagged = false;
-  for (const auto& msg : v)
-    if (msg.find("overlapping") != std::string::npos) overlapFlagged = true;
-  EXPECT_TRUE(overlapFlagged);
+  EXPECT_TRUE(mentions(rtl::verifyDatapath(broken, ao.constraints,
+                                           rtl::DesignStyle::Unrestricted),
+                       "overlapping"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MutationSeeds,

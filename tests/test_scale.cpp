@@ -243,7 +243,7 @@ ExhaustiveMfs exhaustiveMfs(const dfg::Dfg& g, const core::MfsOptions& opt) {
   const int critical = sched::computeTimeFrames(g, probe)->criticalSteps();
   ExhaustiveMfs res;
   for (int cs = timeMode ? c.timeSteps : std::max(critical, c.timeSteps);
-       cs <= opt.maxStepsCap; ++cs) {
+       cs <= core::kMfsMaxStepsCap; ++cs) {
     c.timeSteps = cs;
     const auto tf = sched::computeTimeFrames(g, c);
     std::vector<int> maxCols(dfg::kNumFuTypes), current(dfg::kNumFuTypes);
@@ -294,7 +294,7 @@ ExhaustiveMfs exhaustiveMfs(const dfg::Dfg& g, const core::MfsOptions& opt) {
           } else {
             return res;
           }
-          if (++res.restarts > opt.maxRestarts) return res;
+          if (++res.restarts > core::kMfsMaxRestarts) return res;
           restart = true;
           break;
         }

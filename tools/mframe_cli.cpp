@@ -573,6 +573,9 @@ celllib::CellLibrary loadLibrary(const Cli& cli) {
   return celllib::parseLibrary(ss.str());
 }
 
+/// Worker count for the audit and range scans: --jobs, else 1.
+int checkerJobs(const Cli& cli) { return cli.jobs > 0 ? cli.jobs : 1; }
+
 int runSynth(const Cli& cli, const dfg::Dfg& g) {
   const celllib::CellLibrary lib = loadLibrary(cli);
   core::MfsaOptions o;
@@ -601,7 +604,7 @@ int runSynth(const Cli& cli, const dfg::Dfg& g) {
   if (cli.doAudit) {
     const analysis::audit::AuditResult audit = analysis::audit::auditDesign(
         r.datapath, fsm, rom(),
-        {.jobs = cli.jobs > 0 ? cli.jobs : 1, .provenDead = {}});
+        {.jobs = checkerJobs(cli), .provenDead = {}});
     std::printf("%s\n", analysis::audit::renderAuditSummary(audit).c_str());
     if (!audit.clean()) {
       std::printf("%s", audit.report.renderText().c_str());
@@ -611,7 +614,7 @@ int runSynth(const Cli& cli, const dfg::Dfg& g) {
   bool rangeFailed = false;
   if (cli.doRange) {
     analysis::range::RangeOptions ro;
-    ro.jobs = cli.jobs > 0 ? cli.jobs : 1;
+    ro.jobs = checkerJobs(cli);
     const analysis::range::RangeResult ranges =
         analysis::range::analyzeDesignRanges(r.datapath, fsm, rom(), ro);
     std::printf("%s\n", analysis::range::renderRangeSummary(ranges).c_str());
@@ -740,7 +743,6 @@ int runTune(const Cli& cli, const dfg::Dfg& g) {
   // physical route); the command implies it.
   opt.constraints.allowChaining = true;
   opt.constraints.timeSteps = cli.steps;
-  opt.clockSet = true;
   opt.budget = cli.budget;
   opt.hops = cli.hops;
   opt.jobs = cli.jobs > 0
@@ -852,6 +854,20 @@ analysis::BoundDesign synthesizeBound(const Cli& cli, const dfg::Dfg& g,
   return fromSchedule(r.schedule);
 }
 
+/// The design prove, audit and range check: the --bind file when one is
+/// given, else a synthesis with --scheduler. `how` names which one. A .bind
+/// file that does not parse yields nullopt with the reason in `err`.
+std::optional<analysis::BoundDesign> bindOrSynthesize(
+    const Cli& cli, const dfg::Dfg& g, const celllib::CellLibrary& lib,
+    std::string& how, std::string& err) {
+  if (cli.bindPath.empty()) {
+    how = "scheduler " + cli.schedulerName;
+    return synthesizeBound(cli, g, lib);
+  }
+  how = "bind file " + cli.bindPath;
+  return analysis::parseBindDesign(g, lib, readFileOrDie(cli.bindPath), &err);
+}
+
 /// Synthesize (or load a .bind design) and run the translation validator.
 /// The reference-free audit runs first as a fast path: audit errors are
 /// structural defects symbolic execution would only rediscover more slowly
@@ -859,31 +875,19 @@ analysis::BoundDesign synthesizeBound(const Cli& cli, const dfg::Dfg& g,
 int runProve(const Cli& cli, const dfg::Dfg& g) {
   const celllib::CellLibrary lib = loadLibrary(cli);
   analysis::LintReport report;
-  std::string how;
-
-  std::optional<analysis::BoundDesign> bound;
-  if (!cli.bindPath.empty()) {
-    how = "bind file " + cli.bindPath;
-    std::string err;
-    bound =
-        analysis::parseBindDesign(g, lib, readFileOrDie(cli.bindPath), &err);
-    if (!bound) {
-      analysis::Diagnostic d;
-      d.rule = std::string(analysis::kEqvParseFailure);
-      d.severity = analysis::Severity::Error;
-      d.entity = analysis::EntityKind::Design;
-      d.message = err;
-      report.add(std::move(d));
-    }
+  std::string how, err;
+  const auto bound = bindOrSynthesize(cli, g, lib, how, err);
+  if (!bound) {
+    analysis::Diagnostic d;
+    d.rule = std::string(analysis::kEqvParseFailure);
+    d.severity = analysis::Severity::Error;
+    d.entity = analysis::EntityKind::Design;
+    d.message = err;
+    report.add(std::move(d));
   } else {
-    how = "scheduler " + cli.schedulerName;
-    bound = synthesizeBound(cli, g, lib);
-  }
-
-  if (bound) {
     const analysis::audit::AuditResult audit = analysis::audit::auditDesign(
         bound->datapath, bound->fsm, bound->rom,
-        {.jobs = cli.jobs > 0 ? cli.jobs : 1, .provenDead = {}});
+        {.jobs = checkerJobs(cli), .provenDead = {}});
     if (audit.report.hasErrors()) {
       how += " (audit fast path)";
       report = audit.report;
@@ -908,21 +912,11 @@ int runProve(const Cli& cli, const dfg::Dfg& g) {
 /// symbolic FSM reachability plus the AUD safety analyses.
 int runAudit(const Cli& cli, const dfg::Dfg& g) {
   const celllib::CellLibrary lib = loadLibrary(cli);
-  std::string how;
+  std::string how, err;
+  const auto bound = bindOrSynthesize(cli, g, lib, how, err);
+  if (!bound) die("cannot parse '" + cli.bindPath + "': " + err);
 
-  std::optional<analysis::BoundDesign> bound;
-  if (!cli.bindPath.empty()) {
-    how = "bind file " + cli.bindPath;
-    std::string err;
-    bound =
-        analysis::parseBindDesign(g, lib, readFileOrDie(cli.bindPath), &err);
-    if (!bound) die("cannot parse '" + cli.bindPath + "': " + err);
-  } else {
-    how = "scheduler " + cli.schedulerName;
-    bound = synthesizeBound(cli, g, lib);
-  }
-
-  const int jobs = cli.jobs > 0 ? cli.jobs : 1;
+  const int jobs = checkerJobs(cli);
   analysis::audit::AuditResult r;
   std::string rangeSummary;
   if (cli.withRanges) {
@@ -964,22 +958,12 @@ int runAudit(const Cli& cli, const dfg::Dfg& g) {
 /// `.bind` assert statements checked as WID005 obligations.
 int runRange(const Cli& cli, const dfg::Dfg& g) {
   const celllib::CellLibrary lib = loadLibrary(cli);
-  std::string how;
-
-  std::optional<analysis::BoundDesign> bound;
-  if (!cli.bindPath.empty()) {
-    how = "bind file " + cli.bindPath;
-    std::string err;
-    bound =
-        analysis::parseBindDesign(g, lib, readFileOrDie(cli.bindPath), &err);
-    if (!bound) die("cannot parse '" + cli.bindPath + "': " + err);
-  } else {
-    how = "scheduler " + cli.schedulerName;
-    bound = synthesizeBound(cli, g, lib);
-  }
+  std::string how, err;
+  const auto bound = bindOrSynthesize(cli, g, lib, how, err);
+  if (!bound) die("cannot parse '" + cli.bindPath + "': " + err);
 
   analysis::range::RangeOptions ro;
-  ro.jobs = cli.jobs > 0 ? cli.jobs : 1;
+  ro.jobs = checkerJobs(cli);
   ro.asserts = bound->asserts;
   const analysis::range::RangeResult r = analysis::range::analyzeDesignRanges(
       bound->datapath, bound->fsm, bound->rom, ro);
