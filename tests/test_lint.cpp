@@ -43,6 +43,30 @@ core::MfsaResult synth(const dfg::Dfg& g, int cs) {
   return core::runMfsa(g, lib, o);
 }
 
+/// The messages of every `rule` finding, in emission order.
+std::vector<std::string> messagesOf(const LintReport& r, std::string_view rule) {
+  std::vector<std::string> out;
+  for (const Diagnostic& d : r.byRule(rule)) out.push_back(d.message);
+  return out;
+}
+
+/// `n` independent two-cycle multiplications m1..mn of x and y.
+dfg::Dfg twoCycleMuls(int n) {
+  dfg::Builder b("muls");
+  const auto x = b.input("x");
+  const auto y = b.input("y");
+  for (int i = 1; i <= n; ++i)
+    b.output(b.mul(x, y, "m" + std::to_string(i), 2), "o" + std::to_string(i));
+  return std::move(b).build();
+}
+
+/// `s` bound column by column onto the default library.
+rtl::Datapath bindColumns(const sched::Schedule& s) {
+  static const celllib::CellLibrary lib = celllib::ncrLike();
+  const dfg::Dfg& g = s.graph();
+  return rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s));
+}
+
 // ---------------------------------------------------------------------------
 // Rule registry
 // ---------------------------------------------------------------------------
@@ -388,6 +412,60 @@ TEST(LintSchedule, OccupancyConflictFires) {  // SCH007
   EXPECT_EQ(r.byRule(kSchedOccupancy).front().entity, EntityKind::Fu);
 }
 
+TEST(LintSchedule, OccupancyPairSharingTwoStepsIsReportedOnce) {  // SCH007
+  const dfg::Dfg g = twoCycleMuls(2);
+  sched::Schedule s(g);
+  s.setNumSteps(2);
+  s.place(g.findByName("m1"), 1, 1);
+  s.place(g.findByName("m2"), 1, 1);  // both hold multiplier#1 in steps 1-2
+  sched::Constraints c;
+  c.timeSteps = 2;
+  EXPECT_EQ(messagesOf(lintSchedule(s, c), kSchedOccupancy),
+            std::vector<std::string>{
+                "occupancy conflict on multiplier#1: 'm1'@1 vs 'm2'@1"});
+}
+
+TEST(LintSchedule, OccupancyOnPipelinedUnitNeedsEqualStarts) {  // SCH007
+  const dfg::Dfg g = twoCycleMuls(3);
+  sched::Schedule s(g);
+  s.setNumSteps(3);
+  s.place(g.findByName("m1"), 1, 1);
+  s.place(g.findByName("m2"), 2, 1);  // overlaps m1's second stage: legal
+  s.place(g.findByName("m3"), 1, 1);  // a second initiation in step 1
+  sched::Constraints c;
+  c.timeSteps = 3;
+  c.pipelinedFus.insert(dfg::FuType::Multiplier);
+  EXPECT_EQ(messagesOf(lintSchedule(s, c), kSchedOccupancy),
+            std::vector<std::string>{
+                "occupancy conflict on multiplier#1: 'm1'@1 vs 'm3'@1"});
+}
+
+TEST(LintSchedule, OccupancyFoldsStepsModLatency) {  // SCH007
+  const dfg::Dfg g = twoCycleMuls(2);
+  sched::Schedule s(g);
+  s.setNumSteps(4);
+  s.place(g.findByName("m1"), 1, 1);  // steps 1-2 fold to 0, 1
+  s.place(g.findByName("m2"), 3, 1);  // steps 3-4 fold to 2, 0
+  sched::Constraints c;
+  c.timeSteps = 4;
+  c.latency = 3;
+  EXPECT_EQ(messagesOf(lintSchedule(s, c), kSchedOccupancy),
+            std::vector<std::string>{
+                "occupancy conflict on multiplier#1: 'm1'@1 vs 'm2'@3"});
+}
+
+TEST(LintSchedule, OccupancyExclusivePairIsSilent) {  // SCH007
+  const dfg::Dfg g = test::branchy();
+  sched::Schedule s(g);
+  s.setNumSteps(2);
+  s.place(g.findByName("t1"), 1, 1);
+  s.place(g.findByName("e1"), 1, 1);  // the other arm of c1: may share
+  s.place(g.findByName("j"), 2, 1);
+  sched::Constraints c;
+  c.timeSteps = 2;
+  EXPECT_TRUE(lintSchedule(s, c).empty());
+}
+
 TEST(LintSchedule, ResourceLimitFires) {  // SCH008
   const dfg::Dfg g = test::addParallel(2);
   sched::Schedule s(g);
@@ -462,21 +540,23 @@ TEST(LintRtl, UnboundOpFires) {  // RTL004
 }
 
 TEST(LintRtl, AluOverlapFires) {  // RTL005
-  auto res = synth(test::addChain(2), 2);
-  ASSERT_TRUE(res.feasible);
-  rtl::Datapath d = res.datapath;
-  for (const auto& a : d.alus) {
-    if (a.ops.size() < 2) continue;
-    // Reschedule the second op onto the first op's step: same ALU, same step.
-    d.schedule.place(a.ops[1], d.schedule.stepOf(a.ops[0]),
-                     d.schedule.columnOf(a.ops[1]));
-    sched::Constraints c;
-    c.timeSteps = 2;
-    EXPECT_TRUE(fires(lintDatapath(d, c, rtl::DesignStyle::Unrestricted),
-                      kRtlAluOverlap));
-    return;
-  }
-  GTEST_SKIP() << "no ALU executes two operations in this synthesis";
+  // Three independent adds bound to one ALU in one step: every pair clashes,
+  // reported in (i, j) order of the ALU's op list.
+  const dfg::Dfg g = test::addParallel(3);
+  sched::Schedule s(g);
+  s.setNumSteps(1);
+  for (dfg::NodeId op : g.operations()) s.place(op, 1, 1);
+  const rtl::Datapath d = bindColumns(s);
+  ASSERT_EQ(d.alus.size(), 1u);
+  sched::Constraints c;
+  c.timeSteps = 1;
+  const LintReport r = lintDatapath(d, c, rtl::DesignStyle::Unrestricted);
+  EXPECT_EQ(messagesOf(r, kRtlAluOverlap),
+            (std::vector<std::string>{
+                "ALU0 executes 'p0' and 'p1' concurrently",
+                "ALU0 executes 'p0' and 'p2' concurrently",
+                "ALU0 executes 'p1' and 'p2' concurrently"}));
+  EXPECT_EQ(r.byRule(kRtlAluOverlap).front().entity, EntityKind::Alu);
 }
 
 TEST(LintRtl, SelfLoopFiresUnderStyle2) {  // RTL006
@@ -494,24 +574,36 @@ TEST(LintRtl, SelfLoopFiresUnderStyle2) {  // RTL006
 }
 
 TEST(LintRtl, RegisterOverlapFires) {  // RTL007
-  auto res = synth(workloads::diffeq(), 4);
-  ASSERT_TRUE(res.feasible);
-  rtl::Datapath d = res.datapath;
+  // Three adds in step 1, each an output live through the end: packing all
+  // three results into R0 overlaps every pair, reported in packed order.
+  static const celllib::CellLibrary lib = celllib::ncrLike();
+  const dfg::Dfg g = test::addParallel(3);
+  sched::Schedule s(g);
+  s.setNumSteps(1);
+  int col = 0;
+  for (dfg::NodeId op : g.operations()) s.place(op, 1, ++col);
+  const std::vector<alloc::Lifetime> lts = alloc::computeLifetimes(g, s);
+  alloc::RegAllocation regs;
+  regs.registers.resize(1);
+  for (std::size_t i = 0; i < lts.size(); ++i) {
+    if (!lts[i].needsRegister) continue;
+    if (dfg::isSchedulable(g.kindOf(lts[i].producer)))
+      regs.registers[0].push_back(i);
+    else
+      regs.registers.push_back({i});
+  }
+  const rtl::Datapath d =
+      rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s), regs);
   sched::Constraints c;
-  c.timeSteps = 4;
-  auto& regs = d.regs.registers;
-  for (std::size_t r1 = 0; r1 < regs.size(); ++r1)
-    for (std::size_t r2 = r1 + 1; r2 < regs.size(); ++r2)
-      for (std::size_t i : regs[r1])
-        for (std::size_t j : regs[r2])
-          if (d.lifetimes[i].overlaps(d.lifetimes[j])) {
-            regs[r1].push_back(j);  // force two live values into one register
-            EXPECT_TRUE(fires(
-                lintDatapath(d, c, rtl::DesignStyle::Unrestricted),
-                kRtlRegisterOverlap));
-            return;
-          }
-  GTEST_SKIP() << "no overlapping lifetime pair in this synthesis";
+  c.timeSteps = 1;
+  const LintReport r = lintDatapath(d, c, rtl::DesignStyle::Unrestricted);
+  EXPECT_EQ(messagesOf(r, kRtlRegisterOverlap),
+            (std::vector<std::string>{
+                "register R0 holds overlapping signals 'p0' and 'p1'",
+                "register R0 holds overlapping signals 'p0' and 'p2'",
+                "register R0 holds overlapping signals 'p1' and 'p2'"}));
+  EXPECT_EQ(r.byRule(kRtlRegisterOverlap).front().entity,
+            EntityKind::Register);
 }
 
 TEST(LintRtl, MissingRegisterFires) {  // RTL008
