@@ -10,20 +10,7 @@
 namespace mframe::analysis {
 
 namespace {
-
 using dfg::NodeId;
-
-/// Folded steps occupied by `n` on a (possibly pipelined) ALU.
-std::vector<int> occupied(const dfg::Dfg& g, const sched::Schedule& s,
-                          NodeId n, bool pipelined, int latency) {
-  auto fold = [&](int st) { return latency > 0 ? (st - 1) % latency : st; };
-  std::vector<int> out;
-  const int start = s.stepOf(n);
-  const int cycles = pipelined ? 1 : g.node(n).cycles;
-  for (int st = start; st < start + cycles; ++st) out.push_back(fold(st));
-  return out;
-}
-
 }  // namespace
 
 LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
@@ -64,27 +51,23 @@ LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
   if (!r.empty()) return r;  // later checks assume a total binding
 
   // -- RTL005: ALU occupancy ------------------------------------------------
+  std::uint64_t cells = 0;
   for (const rtl::AluInstance& a : d.alus) {
     const bool pipelined = d.lib->module(a.module).stages > 1;
-    for (std::size_t i = 0; i < a.ops.size(); ++i) {
-      for (std::size_t j = i + 1; j < a.ops.size(); ++j) {
-        const NodeId x = a.ops[i];
-        const NodeId y = a.ops[j];
-        if (g.mutuallyExclusive(x, y)) continue;
-        const auto ox = occupied(g, d.schedule, x, pipelined, c.latency);
-        const auto oy = occupied(g, d.schedule, y, pipelined, c.latency);
-        const bool clash = std::any_of(ox.begin(), ox.end(), [&](int st) {
-          return std::find(oy.begin(), oy.end(), st) != oy.end();
-        });
-        if (clash)
-          r.add(diag(kRtlAluOverlap, EntityKind::Alu,
-                     at(g.node(x).name, d.schedule.stepOf(x), a.index,
-                        g.node(y).name),
-                     util::format("ALU%d executes '%s' and '%s' concurrently",
-                                  a.index, g.node(x).name.c_str(),
-                                  g.node(y).name.c_str()),
-                     "rebind one operation or reschedule it"));
-      }
+    for (const auto& [i, j] :
+         opClashes(d.schedule, a.ops, pipelined, c.latency, cells)) {
+      const dfg::Node& x = g.node(a.ops[i]);
+      const dfg::Node& y = g.node(a.ops[j]);
+      const bool self = i == j;
+      r.add(diag(kRtlAluOverlap, EntityKind::Alu,
+                 at(x.name, d.schedule.stepOf(x.id), a.index,
+                    self ? "" : y.name),
+                 util::format("ALU%d executes '%s'", a.index, x.name.c_str()) +
+                     (self ? ", which " + selfOverlap(x, c.latency)
+                           : util::format(" and '%s' concurrently",
+                                          y.name.c_str())),
+                 self ? "bind the op to a pipelined module or raise the latency"
+                      : "rebind one operation or reschedule it"));
     }
   }
 
@@ -106,20 +89,29 @@ LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
   }
 
   // -- RTL007/RTL008: registers --------------------------------------------
+  // A register holds a signal in steps (birth, death], and a signal latched
+  // but never read still takes the step after its latch; `overlaps` is the
+  // exact test among the lifetimes that share a step.
   for (std::size_t reg = 0; reg < d.regs.registers.size(); ++reg) {
     const auto& packed = d.regs.registers[reg];
-    for (std::size_t i = 0; i < packed.size(); ++i)
-      for (std::size_t j = i + 1; j < packed.size(); ++j)
-        if (d.lifetimes[packed[i]].overlaps(d.lifetimes[packed[j]]))
-          r.add(diag(kRtlRegisterOverlap, EntityKind::Register,
-                     at(g.node(d.lifetimes[packed[i]].producer).name, -1,
-                        static_cast<int>(reg),
-                        g.node(d.lifetimes[packed[j]].producer).name),
-                     util::format("register R%zu holds overlapping signals '%s' "
-                                  "and '%s'", reg,
-                                  g.node(d.lifetimes[packed[i]].producer).name.c_str(),
-                                  g.node(d.lifetimes[packed[j]].producer).name.c_str()),
-                     "repack the lifetimes into disjoint registers"));
+    std::vector<CellUse> steps;
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      const alloc::Lifetime& lt = d.lifetimes[packed[i]];
+      for (int st = lt.birth + 1; st <= std::max(lt.death, lt.birth + 1); ++st)
+        steps.emplace_back(st, i);
+    }
+    const auto overlap = [&](std::size_t i, std::size_t j) {
+      return d.lifetimes[packed[i]].overlaps(d.lifetimes[packed[j]]);
+    };
+    for (const auto& [i, j] : clashingPairs(std::move(steps), overlap, cells)) {
+      const std::string& x = g.node(d.lifetimes[packed[i]].producer).name;
+      const std::string& y = g.node(d.lifetimes[packed[j]].producer).name;
+      r.add(diag(kRtlRegisterOverlap, EntityKind::Register,
+                 at(x, -1, static_cast<int>(reg), y),
+                 util::format("register R%zu holds overlapping signals '%s' "
+                              "and '%s'", reg, x.c_str(), y.c_str()),
+                 "repack the lifetimes into disjoint registers"));
+    }
   }
   for (const alloc::Lifetime& lt : d.lifetimes)
     if (lt.needsRegister && !d.regOfSignal.count(lt.producer))

@@ -1,5 +1,9 @@
 #include "analysis/rules.h"
 
+#include <algorithm>
+
+#include "util/strings.h"
+
 namespace mframe::analysis {
 
 const std::vector<RuleInfo>& allRules() {
@@ -211,6 +215,45 @@ Location at(std::string node, int step, int unit, std::string detail) {
   l.unit = unit;
   l.detail = std::move(detail);
   return l;
+}
+
+std::vector<ItemPair> clashingPairs(
+    std::vector<CellUse> cells,
+    const std::function<bool(std::size_t, std::size_t)>& clash,
+    std::uint64_t& work) {
+  std::sort(cells.begin(), cells.end());  // one cell's items ascend
+  std::vector<ItemPair> shared;
+  for (std::size_t a = 0; a < cells.size(); ++a)
+    for (std::size_t b = a + 1;
+         b < cells.size() && cells[b].first == cells[a].first; ++b)
+      shared.emplace_back(cells[a].second, cells[b].second);
+  work += cells.size() + shared.size();
+  std::sort(shared.begin(), shared.end());
+  shared.erase(std::unique(shared.begin(), shared.end()), shared.end());
+  std::erase_if(shared,
+                [&](const ItemPair& p) { return !clash(p.first, p.second); });
+  return shared;
+}
+
+std::vector<ItemPair> opClashes(const sched::Schedule& s,
+                                const std::vector<dfg::NodeId>& ops,
+                                bool pipelined, int latency,
+                                std::uint64_t& work) {
+  const dfg::Dfg& g = s.graph();
+  std::vector<CellUse> cells;
+  for (std::size_t i = 0; i < ops.size(); ++i)
+    for (int st = s.stepOf(ops[i]), k = pipelined ? 1 : g.cyclesOf(ops[i]);
+         k > 0; ++st, --k)
+      cells.emplace_back(latency > 0 ? (st - 1) % latency : st, i);
+  return clashingPairs(std::move(cells), [&](std::size_t i, std::size_t j) {
+    return !g.mutuallyExclusive(ops[i], ops[j]);  // false for i == j
+  }, work);
+}
+
+std::string selfOverlap(const dfg::Node& n, int latency) {
+  return util::format(
+      "overlaps its own next initiation (%d cycles, latency %d)", n.cycles,
+      latency);
 }
 
 }  // namespace mframe::analysis

@@ -4,11 +4,15 @@
 // guarantee each id has coverage.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/diagnostic.h"
+#include "sched/schedule.h"
 
 namespace mframe::analysis {
 
@@ -43,6 +47,31 @@ Diagnostic diag(std::string_view rule, EntityKind entity, Location loc,
 /// ALU, register, bus or port) and free-form detail; -1 / "" when unknown.
 Location at(std::string node, int step = -1, int unit = -1,
             std::string detail = "");
+
+/// One cell an item on a unit occupies: (cell, item index).
+using CellUse = std::pair<int, std::size_t>;
+/// Two items on one unit, by index; first <= second.
+using ItemPair = std::pair<std::size_t, std::size_t>;
+
+/// The cell sweep of SCH007, RTL005 and RTL007: each pair of items that
+/// share a cell in `cells` and pass `clash`, once, in ascending order; an
+/// item listing one cell twice pairs with itself. Adds the cells it sorts
+/// plus the same-cell pairs it compares to `work`.
+std::vector<ItemPair> clashingPairs(
+    std::vector<CellUse> cells,
+    const std::function<bool(std::size_t, std::size_t)>& clash,
+    std::uint64_t& work);
+
+/// The clashes among `ops` on one unit (SCH007, RTL005): an op holds its
+/// start step on a pipelined unit, else each step it runs, folded mod a
+/// positive `latency`; mutually exclusive ops may share a step.
+std::vector<ItemPair> opClashes(const sched::Schedule& s,
+                                const std::vector<dfg::NodeId>& ops,
+                                bool pipelined, int latency,
+                                std::uint64_t& work);
+
+/// How an op that clashes with itself overlaps its own next initiation.
+std::string selfOverlap(const dfg::Node& n, int latency);
 
 // Stable rule ids. Rules are never renumbered; retired ids are not reused.
 // -- DFG family --------------------------------------------------------------

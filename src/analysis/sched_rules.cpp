@@ -16,23 +16,6 @@ using sched::Constraints;
 using sched::Placement;
 using sched::Schedule;
 
-/// Steps during which `n` occupies its FU column, folded mod latency when
-/// functional pipelining is on. Structurally pipelined FUs are handled
-/// separately (start-step conflicts only).
-std::vector<int> occupiedSteps(const dfg::Node& n, const Placement& p,
-                               const Constraints& c) {
-  std::vector<int> steps;
-  for (int s = p.step; s < p.step + n.cycles; ++s)
-    steps.push_back(c.latency > 0 ? ((s - 1) % c.latency) : s);
-  return steps;
-}
-
-bool stepsIntersect(const std::vector<int>& a, const std::vector<int>& b) {
-  for (int x : a)
-    if (std::find(b.begin(), b.end(), x) != b.end()) return true;
-  return false;
-}
-
 }  // namespace
 
 LintReport lintSchedule(const Schedule& s, const Constraints& c) {
@@ -118,32 +101,24 @@ LintReport lintSchedule(const Schedule& s, const Constraints& c) {
     if (!dfg::isSchedulable(n.kind)) continue;
     byColumn[{dfg::fuTypeOf(n.kind), s.columnOf(n.id)}].push_back(n.id);
   }
+  std::uint64_t cells = 0;
   for (const auto& [key, ops] : byColumn) {
     const auto [type, col] = key;
     const bool pipelined = c.pipelinedFus.count(type) > 0;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      for (std::size_t j = i + 1; j < ops.size(); ++j) {
-        const dfg::Node& a = g.node(ops[i]);
-        const dfg::Node& b = g.node(ops[j]);
-        if (g.mutuallyExclusive(a.id, b.id)) continue;
-        bool conflict;
-        if (pipelined) {
-          // One initiation per step (fold starts mod latency when L > 0).
-          auto fold = [&](int st) { return c.latency > 0 ? (st - 1) % c.latency : st; };
-          conflict = fold(s.stepOf(a.id)) == fold(s.stepOf(b.id));
-        } else {
-          conflict = stepsIntersect(occupiedSteps(a, s.at(a.id), c),
-                                    occupiedSteps(b, s.at(b.id), c));
-        }
-        if (conflict)
-          r.add(diag(kSchedOccupancy, EntityKind::Fu,
-                     at(a.name, s.stepOf(a.id), col, b.name),
-                     util::format("occupancy conflict on %s#%d: '%s'@%d vs '%s'@%d",
-                                  std::string(dfg::fuTypeName(type)).c_str(), col,
-                                  a.name.c_str(), s.stepOf(a.id), b.name.c_str(),
-                                  s.stepOf(b.id)),
-                     "move one operation to a free column or another step"));
-      }
+    for (const auto& [i, j] : opClashes(s, ops, pipelined, c.latency, cells)) {
+      const dfg::Node& a = g.node(ops[i]);
+      const dfg::Node& b = g.node(ops[j]);
+      const bool self = i == j;
+      r.add(diag(kSchedOccupancy, EntityKind::Fu,
+                 at(a.name, s.stepOf(a.id), col, self ? "" : b.name),
+                 util::format("occupancy conflict on %s#%d: '%s'@%d ",
+                              std::string(dfg::fuTypeName(type)).c_str(), col,
+                              a.name.c_str(), s.stepOf(a.id)) +
+                     (self ? selfOverlap(a, c.latency)
+                           : util::format("vs '%s'@%d", b.name.c_str(),
+                                          s.stepOf(b.id))),
+                 self ? "pipeline the unit or raise the latency"
+                      : "move one operation to a free column or another step"));
     }
   }
 

@@ -1,7 +1,5 @@
 #include "baseline/asap_sched.h"
 
-#include <map>
-
 #include "core/grid.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
@@ -26,20 +24,13 @@ AsapResult runAsap(const dfg::Dfg& g, const sched::Constraints& c) {
 
   sched::Schedule s(g);
   s.setNumSteps(tf->criticalSteps());
-  std::map<dfg::FuType, core::ColumnOccupancy> occs;
+  // One column per op always suffices.
+  core::Grid grid(g, c);
+  const int maxCol = static_cast<int>(g.size());
   const auto order = *g.topoOrder();
-  for (dfg::NodeId id : order) {
-    if (!dfg::isSchedulable(g.node(id).kind)) continue;
-    const dfg::FuType t = dfg::fuTypeOf(g.node(id).kind);
-    auto [it, inserted] = occs.try_emplace(t, g, c);
-    for (int col = 1;; ++col) {
-      if (it->second.canPlace(id, col, tf->asap(id))) {
-        it->second.place(id, col, tf->asap(id));
-        s.place(id, tf->asap(id), col);
-        break;
-      }
-    }
-  }
+  for (dfg::NodeId id : order)
+    if (dfg::isSchedulable(g.kindOf(id)))
+      s.place(id, tf->asap(id), grid.placeFirstFree(id, tf->asap(id), maxCol));
   res.steps = tf->criticalSteps();
   res.schedule = std::move(s);
   res.feasible = true;

@@ -19,7 +19,8 @@ struct AsapResult {
 };
 
 /// Place every operation at its ASAP step, assigning columns first-free per
-/// type (multicycle and mutual exclusion respected; chaining honored when
+/// type through core::Grid, MFS's occupancy rule (multicycle ops, mutual
+/// exclusion, pipelined units and latency folding; chaining honored when
 /// c.allowChaining is set — dependent ops stack in a step until the clock
 /// budget runs out by construction of the ASAP frames).
 AsapResult runAsap(const dfg::Dfg& g, const sched::Constraints& c);

@@ -136,18 +136,11 @@ FdsResult runForceDirected(const dfg::Dfg& g, const sched::Constraints& c) {
   // Column (instance) assignment per type, greedily.
   sched::Schedule s(g);
   s.setNumSteps(cs);
-  std::map<FuType, core::ColumnOccupancy> occs;
-  for (NodeId id : ops) {
-    const FuType t = dfg::fuTypeOf(g.node(id).kind);
-    auto [it, inserted] = occs.try_emplace(t, g, c);
-    for (int col = 1;; ++col) {
-      if (it->second.canPlace(id, col, frame[id].lo)) {
-        it->second.place(id, col, frame[id].lo);
-        s.place(id, frame[id].lo, col);
-        break;
-      }
-    }
-  }
+  // One column per op always suffices (see runAsap).
+  core::Grid grid(g, c);
+  const int maxCol = static_cast<int>(g.size());
+  for (NodeId id : ops)
+    s.place(id, frame[id].lo, grid.placeFirstFree(id, frame[id].lo, maxCol));
   res.schedule = std::move(s);
   res.steps = cs;
   res.feasible = true;

@@ -20,7 +20,9 @@ struct FdsResult {
 };
 
 /// Time-constrained FDS: c.timeSteps must be >= the critical path. Supports
-/// multicycle operations; chaining/pipelining are outside this baseline.
+/// multicycle operations. Columns are assigned through core::Grid, so
+/// pipelined units and latency folding constrain the assignment, though the
+/// forces ignore them; chaining is outside this baseline.
 FdsResult runForceDirected(const dfg::Dfg& g, const sched::Constraints& c);
 
 }  // namespace mframe::baseline

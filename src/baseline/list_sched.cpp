@@ -6,7 +6,6 @@
 #include "core/grid.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
-#include "util/strings.h"
 
 namespace mframe::baseline {
 
@@ -39,7 +38,7 @@ ListSchedResult runListScheduling(const dfg::Dfg& g, const sched::Constraints& c
   };
 
   sched::Schedule s(g);
-  std::map<FuType, core::ColumnOccupancy> occs;  // one column table per type
+  core::Grid grid(g, c);
 
   const auto ops = g.operations();
   std::map<NodeId, int> remainingPreds;
@@ -62,24 +61,18 @@ ListSchedResult runListScheduling(const dfg::Dfg& g, const sched::Constraints& c
 
     std::vector<NodeId> issuedNow;
     for (NodeId id : ready) {
-      const FuType t = dfg::fuTypeOf(g.node(id).kind);
-      auto [it, inserted] = occs.try_emplace(t, g, c);
-      core::ColumnOccupancy& to = it->second;
       // Predecessors finishing at or after this step block the issue.
       bool depsOk = true;
       for (NodeId p : g.opPreds(id))
         if (s.stepOf(p) + g.node(p).cycles - 1 >= step) depsOk = false;
       if (!depsOk) continue;
 
-      for (int col = 1; col <= limitOf(t); ++col) {
-        if (to.canPlace(id, col, step)) {
-          to.place(id, col, step);
-          s.place(id, step, col);
-          issuedNow.push_back(id);
-          ++placed;
-          break;
-        }
-      }
+      const int col =
+          grid.placeFirstFree(id, step, limitOf(dfg::fuTypeOf(g.kindOf(id))));
+      if (col == 0) continue;
+      s.place(id, step, col);
+      issuedNow.push_back(id);
+      ++placed;
     }
     for (NodeId id : issuedNow) {
       ready.erase(std::remove(ready.begin(), ready.end(), id), ready.end());

@@ -18,9 +18,10 @@ struct ListSchedResult {
   int steps = 0;
 };
 
-/// Schedule under c.fuLimit (types without a limit get 1 unit). Supports
-/// multicycle operations and mutual exclusion; chaining is not part of this
-/// baseline.
+/// Schedule under c.fuLimit (types without a limit get 1 unit). Places
+/// through core::Grid, so multicycle operations, mutual exclusion,
+/// pipelined units and latency folding follow MFS's occupancy rule;
+/// chaining is not part of this baseline.
 ListSchedResult runListScheduling(const dfg::Dfg& g, const sched::Constraints& c);
 
 }  // namespace mframe::baseline

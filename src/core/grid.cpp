@@ -15,10 +15,7 @@ void ColumnOccupancy::setPipelined(int col, bool pipelined) {
 }
 
 void ColumnOccupancy::ensureNode(dfg::NodeId n) {
-  if (n >= whereCol_.size()) {
-    whereCol_.resize(n + 1, 0);
-    whereStep_.resize(n + 1, 0);
-  }
+  if (n >= whereCol_.size()) whereCol_.resize(n + 1, 0);
 }
 
 std::vector<std::uint64_t> ColumnOccupancy::cellsFor(dfg::NodeId n, int col,
@@ -70,42 +67,6 @@ void ColumnOccupancy::place(dfg::NodeId n, int col, int step) {
   for (std::uint64_t k : cellsFor(n, col, step)) cell_[k].push_back(n);
   ensureNode(n);
   whereCol_[n] = col;
-  whereStep_[n] = step;
-  const auto c = static_cast<std::size_t>(col);
-  if (c >= opsPerCol_.size()) opsPerCol_.resize(c + 1, 0);
-  ++opsPerCol_[c];
-}
-
-void ColumnOccupancy::remove(dfg::NodeId n) {
-  if (!isPlaced(n)) return;
-  const int col = whereCol_[n];
-  const int step = whereStep_[n];
-  for (std::uint64_t k : cellsFor(n, col, step)) {
-    auto& v = cell_[k];
-    v.erase(std::remove(v.begin(), v.end(), n), v.end());
-    if (v.empty()) cell_.erase(k);
-  }
-  whereCol_[n] = 0;
-  whereStep_[n] = 0;
-  --opsPerCol_[static_cast<std::size_t>(col)];
-}
-
-void ColumnOccupancy::clear() {
-  cell_.clear();
-  whereCol_.assign(whereCol_.size(), 0);
-  whereStep_.assign(whereStep_.size(), 0);
-  opsPerCol_.assign(opsPerCol_.size(), 0);
-}
-
-int ColumnOccupancy::maxColumnUsed() const {
-  for (std::size_t c = opsPerCol_.size(); c > 0; --c)
-    if (opsPerCol_[c - 1] > 0) return static_cast<int>(c - 1);
-  return 0;
-}
-
-std::vector<dfg::NodeId> ColumnOccupancy::at(int col, int step) const {
-  const auto it = cell_.find(key(col, fold(step)));
-  return it == cell_.end() ? std::vector<dfg::NodeId>{} : it->second;
 }
 
 Grid::Grid(const dfg::Dfg& g, const sched::Constraints& c) : g_(&g) {
@@ -128,8 +89,13 @@ void Grid::place(dfg::NodeId n, int col, int step) {
   table(dfg::fuTypeOf(g_->kindOf(n))).place(n, col, step);
 }
 
-void Grid::clear() {
-  for (auto& t : tables_) t.clear();
+int Grid::placeFirstFree(dfg::NodeId n, int step, int maxCol) {
+  for (int col = 1; col <= maxCol; ++col)
+    if (canPlace(n, col, step)) {
+      place(n, col, step);
+      return col;
+    }
+  return 0;
 }
 
 }  // namespace mframe::core

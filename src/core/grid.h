@@ -19,8 +19,9 @@
 // millions of times on large graphs and the old std::map-of-pairs layout
 // spent the run chasing red-black-tree pointers.
 //
-// MFS composes one ColumnOccupancy per FU type (class Grid); MFSA reuses
-// ColumnOccupancy with one column per allocated ALU instance.
+// MFS and the ASAP, list and FDS baselines compose one ColumnOccupancy per
+// FU type (class Grid); MFSA reuses ColumnOccupancy with one column per
+// allocated ALU instance.
 #pragma once
 
 #include <cstdint>
@@ -48,18 +49,10 @@ class ColumnOccupancy {
   bool canPlace(dfg::NodeId n, int col, int step) const;
 
   void place(dfg::NodeId n, int col, int step);
-  void remove(dfg::NodeId n);
-  void clear();
 
   bool isPlaced(dfg::NodeId n) const {
     return n < whereCol_.size() && whereCol_[n] != 0;
   }
-
-  /// Highest column holding at least one operation (0 when empty).
-  int maxColumnUsed() const;
-
-  /// Operations occupying (col, step) — after latency folding.
-  std::vector<dfg::NodeId> at(int col, int step) const;
 
  private:
   static std::uint64_t key(int col, int foldedStep) {
@@ -79,8 +72,6 @@ class ColumnOccupancy {
   std::vector<char> pipelined_;                              ///< by column
   std::unordered_map<std::uint64_t, std::vector<dfg::NodeId>> cell_;
   std::vector<int> whereCol_;   ///< by node; 0 = not placed
-  std::vector<int> whereStep_;  ///< by node; start step when placed
-  std::vector<int> opsPerCol_;  ///< ops currently resident per column
 };
 
 /// MFS's 3-D space: one column table per FU type.
@@ -95,7 +86,10 @@ class Grid {
 
   bool canPlace(dfg::NodeId n, int col, int step) const;
   void place(dfg::NodeId n, int col, int step);
-  void clear();
+
+  /// Place `n` at `step` in the lowest column of [1, maxCol] that can hold
+  /// it, and return that column; 0 when none can.
+  int placeFirstFree(dfg::NodeId n, int step, int maxCol);
 
  private:
   const dfg::Dfg* g_;

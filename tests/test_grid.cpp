@@ -10,18 +10,17 @@ namespace {
 
 using dfg::NodeId;
 
-TEST(ColumnOccupancy, PlaceBlocksCellAndRemoveFrees) {
+TEST(ColumnOccupancy, PlaceBlocksCell) {
   const dfg::Dfg g = test::addParallel(2);
   sched::Constraints c;
   ColumnOccupancy occ(g, c);
   const auto ops = g.operations();
   EXPECT_TRUE(occ.canPlace(ops[0], 1, 1));
   occ.place(ops[0], 1, 1);
+  EXPECT_TRUE(occ.isPlaced(ops[0]));
   EXPECT_FALSE(occ.canPlace(ops[1], 1, 1));
   EXPECT_TRUE(occ.canPlace(ops[1], 2, 1));
   EXPECT_TRUE(occ.canPlace(ops[1], 1, 2));
-  occ.remove(ops[0]);
-  EXPECT_TRUE(occ.canPlace(ops[1], 1, 1));
 }
 
 TEST(ColumnOccupancy, MulticycleHoldsConsecutiveSteps) {
@@ -84,32 +83,6 @@ TEST(ColumnOccupancy, MutuallyExclusiveShareCells) {
   ColumnOccupancy occ(g, c);
   occ.place(g.findByName("t1"), 1, 1);
   EXPECT_TRUE(occ.canPlace(g.findByName("e1"), 1, 1));
-  occ.place(g.findByName("e1"), 1, 1);
-  EXPECT_EQ(occ.at(1, 1).size(), 2u);
-}
-
-TEST(ColumnOccupancy, MaxColumnUsedTracksHighest) {
-  const dfg::Dfg g = test::addParallel(3);
-  sched::Constraints c;
-  ColumnOccupancy occ(g, c);
-  EXPECT_EQ(occ.maxColumnUsed(), 0);
-  const auto ops = g.operations();
-  occ.place(ops[0], 1, 1);
-  occ.place(ops[1], 3, 1);
-  EXPECT_EQ(occ.maxColumnUsed(), 3);
-  occ.remove(ops[1]);
-  EXPECT_EQ(occ.maxColumnUsed(), 1);
-}
-
-TEST(ColumnOccupancy, ClearResetsEverything) {
-  const dfg::Dfg g = test::addParallel(2);
-  sched::Constraints c;
-  ColumnOccupancy occ(g, c);
-  const auto ops = g.operations();
-  occ.place(ops[0], 1, 1);
-  occ.clear();
-  EXPECT_FALSE(occ.isPlaced(ops[0]));
-  EXPECT_TRUE(occ.canPlace(ops[1], 1, 1));
 }
 
 TEST(Grid, RoutesByFuType) {

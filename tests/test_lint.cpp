@@ -454,6 +454,30 @@ TEST(LintSchedule, OccupancyFoldsStepsModLatency) {  // SCH007
                 "occupancy conflict on multiplier#1: 'm1'@1 vs 'm2'@3"});
 }
 
+TEST(LintSchedule, OccupancyOpLongerThanLatencyOverlapsItself) {  // SCH007
+  const dfg::Dfg g = twoCycleMuls(2);
+  sched::Schedule s(g);
+  s.setNumSteps(3);
+  s.place(g.findByName("m1"), 1, 1);
+  s.place(g.findByName("m2"), 2, 1);
+  sched::Constraints c;
+  c.timeSteps = 3;
+  c.latency = 1;  // every step starts a new initiation of each op
+  EXPECT_EQ(messagesOf(lintSchedule(s, c), kSchedOccupancy),
+            (std::vector<std::string>{
+                "occupancy conflict on multiplier#1: 'm1'@1 overlaps its own "
+                "next initiation (2 cycles, latency 1)",
+                "occupancy conflict on multiplier#1: 'm1'@1 vs 'm2'@2",
+                "occupancy conflict on multiplier#1: 'm2'@2 overlaps its own "
+                "next initiation (2 cycles, latency 1)"}));
+  // A pipelined unit takes one initiation per step: only the shared folded
+  // start remains.
+  c.pipelinedFus.insert(dfg::FuType::Multiplier);
+  EXPECT_EQ(messagesOf(lintSchedule(s, c), kSchedOccupancy),
+            std::vector<std::string>{
+                "occupancy conflict on multiplier#1: 'm1'@1 vs 'm2'@2"});
+}
+
 TEST(LintSchedule, OccupancyExclusivePairIsSilent) {  // SCH007
   const dfg::Dfg g = test::branchy();
   sched::Schedule s(g);
@@ -557,6 +581,35 @@ TEST(LintRtl, AluOverlapFires) {  // RTL005
                 "ALU0 executes 'p0' and 'p2' concurrently",
                 "ALU0 executes 'p1' and 'p2' concurrently"}));
   EXPECT_EQ(r.byRule(kRtlAluOverlap).front().entity, EntityKind::Alu);
+}
+
+TEST(LintRtl, AluOpLongerThanLatencyOverlapsItself) {  // RTL005
+  const dfg::Dfg g = twoCycleMuls(1);
+  sched::Schedule s(g);
+  s.setNumSteps(2);
+  s.place(g.findByName("m1"), 1, 1);
+  sched::Constraints c;
+  c.timeSteps = 2;
+  c.latency = 1;
+  // The default library's multiplier has one stage.
+  const rtl::Datapath d = bindColumns(s);
+  EXPECT_EQ(messagesOf(lintDatapath(d, c, rtl::DesignStyle::Unrestricted),
+                       kRtlAluOverlap),
+            std::vector<std::string>{"ALU0 executes 'm1', which overlaps its "
+                                     "own next initiation (2 cycles, latency "
+                                     "1)"});
+
+  // A two-stage multiplier starts one initiation per step.
+  static const celllib::CellLibrary lib =
+      celllib::ncrLike({.pipelinedMultiplier = true});
+  std::vector<rtl::AluInstance> alus(1);
+  for (celllib::ModuleId m : lib.capableModules(dfg::FuType::Multiplier))
+    if (lib.module(m).stages > 1) alus[0].module = m;
+  ASSERT_GT(lib.module(alus[0].module).stages, 1);
+  alus[0].ops = {g.findByName("m1")};
+  EXPECT_TRUE(lintDatapath(rtl::buildDatapath(g, lib, s, alus), c,
+                           rtl::DesignStyle::Unrestricted)
+                  .empty());
 }
 
 TEST(LintRtl, SelfLoopFiresUnderStyle2) {  // RTL006
