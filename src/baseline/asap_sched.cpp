@@ -1,5 +1,6 @@
 #include "baseline/asap_sched.h"
 
+#include "core/frames.h"
 #include "core/grid.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
@@ -13,6 +14,10 @@ AsapResult runAsap(const dfg::Dfg& g, const sched::Constraints& c) {
     res.error = "invalid DFG: " + *err;
     return res;
   }
+  if (auto why = core::unschedulableReason(g, c)) {
+    res.error = *why;
+    return res;
+  }
   std::string tfError;
   sched::Constraints probe = c;
   probe.timeSteps = 0;  // unconstrained: pure ASAP
@@ -24,7 +29,8 @@ AsapResult runAsap(const dfg::Dfg& g, const sched::Constraints& c) {
 
   sched::Schedule s(g);
   s.setNumSteps(tf->criticalSteps());
-  // One column per op always suffices.
+  // One column per op always suffices: ops longer than the latency on an
+  // unpipelined type, the only ones no empty column holds, were refused.
   core::Grid grid(g, c);
   const int maxCol = static_cast<int>(g.size());
   const auto order = *g.topoOrder();

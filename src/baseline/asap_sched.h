@@ -22,7 +22,8 @@ struct AsapResult {
 /// type through core::Grid, MFS's occupancy rule (multicycle ops, mutual
 /// exclusion, pipelined units and latency folding; chaining honored when
 /// c.allowChaining is set — dependent ops stack in a step until the clock
-/// budget runs out by construction of the ASAP frames).
+/// budget runs out by construction of the ASAP frames). Fails at once when
+/// core::unschedulableReason names a reason.
 AsapResult runAsap(const dfg::Dfg& g, const sched::Constraints& c);
 
 }  // namespace mframe::baseline

@@ -4,6 +4,7 @@
 #include <map>
 #include <vector>
 
+#include "core/frames.h"
 #include "core/grid.h"
 #include "trace/trace.h"
 #include "util/strings.h"
@@ -52,6 +53,10 @@ FdsResult runForceDirected(const dfg::Dfg& g, const sched::Constraints& c) {
   const int cs = c.timeSteps;
   if (cs <= 0) {
     res.error = "FDS needs constraints.timeSteps > 0";
+    return res;
+  }
+  if (auto why = core::unschedulableReason(g, c)) {
+    res.error = *why;
     return res;
   }
   const auto ops = g.operations();

@@ -22,7 +22,8 @@ struct FdsResult {
 /// Time-constrained FDS: c.timeSteps must be >= the critical path. Supports
 /// multicycle operations. Columns are assigned through core::Grid, so
 /// pipelined units and latency folding constrain the assignment, though the
-/// forces ignore them; chaining is outside this baseline.
+/// forces ignore them; chaining is outside this baseline. Fails at once when
+/// core::unschedulableReason names a reason.
 FdsResult runForceDirected(const dfg::Dfg& g, const sched::Constraints& c);
 
 }  // namespace mframe::baseline

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "core/frames.h"
 #include "core/grid.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
@@ -19,6 +20,10 @@ ListSchedResult runListScheduling(const dfg::Dfg& g, const sched::Constraints& c
   ListSchedResult res;
   if (auto err = g.validate()) {
     res.error = "invalid DFG: " + *err;
+    return res;
+  }
+  if (auto why = core::unschedulableReason(g, c)) {
+    res.error = *why;
     return res;
   }
 

@@ -21,7 +21,8 @@ struct ListSchedResult {
 /// Schedule under c.fuLimit (types without a limit get 1 unit). Places
 /// through core::Grid, so multicycle operations, mutual exclusion,
 /// pipelined units and latency folding follow MFS's occupancy rule;
-/// chaining is not part of this baseline.
+/// chaining is not part of this baseline. Fails at once when
+/// core::unschedulableReason names a reason.
 ListSchedResult runListScheduling(const dfg::Dfg& g, const sched::Constraints& c);
 
 }  // namespace mframe::baseline

@@ -20,12 +20,22 @@ std::optional<std::string> unschedulableReason(const dfg::Dfg& g,
                           name.c_str(), limit, uses, name.c_str());
     }
   }
-  if (!c.allowChaining) return std::nullopt;  // every op fits; skip the scan
-  for (dfg::NodeId id = 0; id < g.size(); ++id)
-    if (dfg::isSchedulable(g.kindOf(id)) && fitsNoStep(g, c, id))
+  if (!c.allowChaining && c.latency <= 0) return std::nullopt;  // no op to scan
+  for (dfg::NodeId id = 0; id < g.size(); ++id) {
+    if (!dfg::isSchedulable(g.kindOf(id))) continue;
+    const dfg::FuType type = dfg::fuTypeOf(g.kindOf(id));
+    if (c.latency > 0 && g.cyclesOf(id) > c.latency &&
+        !c.pipelinedFus.count(type))
+      return util::format(
+          "'%s' overlaps its own next initiation: its %d cycles exceed the "
+          "latency %d on an unpipelined %s",
+          g.node(id).name.c_str(), g.cyclesOf(id), c.latency,
+          std::string(dfg::fuTypeName(type)).c_str());
+    if (fitsNoStep(g, c, id))
       return util::format(
           "'%s' fits no control step: its %g ns delay exceeds the %g ns clock",
           g.node(id).name.c_str(), g.delayOf(id), c.clockNs);
+  }
   return std::nullopt;
 }
 

@@ -25,10 +25,12 @@ namespace mframe::core {
 bool fitsNoStep(const dfg::Dfg& g, const sched::Constraints& c, dfg::NodeId n);
 
 /// Why no schedule of `g` under `c` exists at any length, or nullopt: an FU
-/// type the graph uses with a budget below one unit, or an operation that
-/// fits no control step. MFS and MFSA check this once before their search,
-/// which otherwise finds it only after exhausting its restart budget or its
-/// schedule-length cap.
+/// type the graph uses with a budget below one unit, an operation of a type
+/// outside c.pipelinedFus with more cycles than a positive latency (it would
+/// overlap its own next initiation), or an operation that fits no control
+/// step. Every scheduler checks this once before its search, which
+/// otherwise finds it only after exhausting its restart budget or its
+/// schedule-length cap, or never.
 std::optional<std::string> unschedulableReason(const dfg::Dfg& g,
                                                const sched::Constraints& c);
 

@@ -315,8 +315,12 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
           }
         }
         if (budgetOpen) {
+          // A fresh ALU keeps its module's occupancy rule too: a one-stage
+          // module cannot take an op that overlaps its next initiation.
+          const bool overlapsItself = c.latency > 0 && n.cycles > c.latency;
           for (celllib::ModuleId m : lib.capableModules(type))
-            pushSteps(nullptr, m, lib.module(m).areaUm2);
+            if (lib.module(m).stages > 1 || !overlapsItself)
+              pushSteps(nullptr, m, lib.module(m).areaUm2);
         }
         trace::bump(trace::Counter::MfsaCandidates, cands.size());
       };

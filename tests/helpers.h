@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dfg/builder.h"
 #include "sched/schedule.h"
 #include "trace/trace.h"
@@ -52,6 +54,34 @@ inline dfg::Dfg addParallel(int n) {
   const auto y = b.input("y");
   for (int i = 0; i < n; ++i) b.output(b.add(x, y, "p" + std::to_string(i)), "o" + std::to_string(i));
   return std::move(b).build();
+}
+
+/// m1 = a*b and m2 = a*m1, two cycles each, then s1 = m2 + b — the latency
+/// fixture tools/designs/multicycle.dfg. Under latency 1 an unpipelined
+/// multiplier would overlap each op's own next initiation.
+inline dfg::Dfg multicycleChain() {
+  dfg::Builder b("mc");
+  const auto a = b.input("a");
+  const auto bb = b.input("b");
+  const auto m1 = b.mul(a, bb, "m1", 2);
+  const auto m2 = b.mul(a, m1, "m2", 2);
+  b.output(b.add(m2, bb, "s1"), "y");
+  return std::move(b).build();
+}
+
+/// Latency 1 over six steps: too short for multicycleChain's unpipelined
+/// multiplications.
+inline sched::Constraints latencyOne() {
+  sched::Constraints c;
+  c.timeSteps = 6;
+  c.latency = 1;
+  return c;
+}
+
+/// True when `error` names op m1 as overlapping its own next initiation.
+inline bool namesSelfOverlap(const std::string& error) {
+  return error.find("'m1' overlaps its own next initiation") !=
+         std::string::npos;
 }
 
 /// Two ops in exclusive branch arms plus a join-side op.

@@ -61,6 +61,46 @@ TEST(ListSched, HandlesMulticycle) {
   EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
 }
 
+TEST(ListSched, RejectsOpLongerThanLatency) {
+  const auto r =
+      runListScheduling(test::multicycleChain(), test::latencyOne());
+  EXPECT_FALSE(r.feasible);
+  EXPECT_TRUE(test::namesSelfOverlap(r.error)) << r.error;
+}
+
+TEST(ListSched, PipelinedMultiplierOverlapsStages) {
+  // m1 and m2 are independent two-cycle products: one pipelined multiplier
+  // starts them in steps 1 and 2, one unpipelined multiplier in 1 and 3.
+  dfg::Builder b("pm");
+  const auto x = b.input("x");
+  const auto y = b.input("y");
+  const auto m1 = b.mul(x, y, "m1", 2);
+  const auto m2 = b.mul(y, x, "m2", 2);
+  b.output(b.add(m1, m2, "s1"), "o");
+  const dfg::Dfg g = std::move(b).build();
+  sched::Constraints c;
+  c.fuLimit[FuType::Multiplier] = 1;
+  EXPECT_EQ(runListScheduling(g, c).steps, 5);
+  c.pipelinedFus.insert(FuType::Multiplier);
+  const auto r = runListScheduling(g, c);
+  ASSERT_TRUE(r.feasible) << r.error;
+  EXPECT_EQ(r.steps, 4);
+  c.timeSteps = r.steps;
+  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+}
+
+TEST(Fds, RejectsOpLongerThanLatency) {
+  sched::Constraints c = test::latencyOne();
+  const auto r = runForceDirected(test::multicycleChain(), c);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_TRUE(test::namesSelfOverlap(r.error)) << r.error;
+
+  c.pipelinedFus.insert(FuType::Multiplier);
+  const auto p = runForceDirected(test::multicycleChain(), c);
+  ASSERT_TRUE(p.feasible) << p.error;
+  EXPECT_TRUE(sched::verifySchedule(p.schedule, c).empty());
+}
+
 TEST(Fds, DiffeqAtFourStepsUsesTwoMultipliers) {
   sched::Constraints c;
   c.timeSteps = 4;

@@ -25,6 +25,38 @@ TEST(Asap, SchedulesEveryOpAtItsAsapStep) {
   EXPECT_GE(r.schedule.fuCount().at(FuType::Multiplier), 3);
 }
 
+TEST(Asap, RejectsOpLongerThanLatency) {
+  sched::Constraints c = test::latencyOne();
+  const auto r = baseline::runAsap(test::multicycleChain(), c);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_TRUE(test::namesSelfOverlap(r.error)) << r.error;
+
+  c.pipelinedFus.insert(FuType::Multiplier);
+  const auto p = baseline::runAsap(test::multicycleChain(), c);
+  ASSERT_TRUE(p.feasible) << p.error;
+  c.timeSteps = p.steps;
+  EXPECT_TRUE(sched::verifySchedule(p.schedule, c).empty());
+}
+
+TEST(Asap, PipelinedMultiplierSharesAColumn) {
+  // m2 starts in m1's second cycle: one pipelined multiplier holds both.
+  dfg::Builder b("overlap");
+  const auto x = b.input("x");
+  const auto y = b.input("y");
+  const auto m1 = b.mul(x, y, "m1", 2);
+  const auto m2 = b.mul(b.add(x, y, "s"), y, "m2", 2);
+  b.output(b.add(m1, m2, "t"), "o");
+  const dfg::Dfg g = std::move(b).build();
+  sched::Constraints c;
+  EXPECT_EQ(baseline::runAsap(g, c).schedule.fuCount().at(FuType::Multiplier), 2);
+  c.pipelinedFus.insert(FuType::Multiplier);
+  const auto r = baseline::runAsap(g, c);
+  ASSERT_TRUE(r.feasible) << r.error;
+  EXPECT_EQ(r.schedule.fuCount().at(FuType::Multiplier), 1);
+  c.timeSteps = r.steps;
+  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+}
+
 TEST(Asap, MfsBeatsAsapOnBalance) {
   // Same schedule length, strictly fewer (or equal) units of each type —
   // the motivation for balanced scheduling over FACET-style ASAP.

@@ -121,6 +121,19 @@ TEST(MfsFeatures, FunctionalPipeliningBoundsFollowLatency) {
   }
 }
 
+TEST(MfsFeatures, OpLongerThanLatencyIsRejectedAtOnce) {
+  core::MfsOptions o;
+  o.constraints = test::latencyOne();
+  const auto r = core::runMfs(test::multicycleChain(), o);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_TRUE(test::namesSelfOverlap(r.error)) << r.error;
+
+  o.constraints.pipelinedFus.insert(FuType::Multiplier);
+  const auto p = core::runMfs(test::multicycleChain(), o);
+  ASSERT_TRUE(p.feasible) << p.error;
+  EXPECT_TRUE(sched::verifySchedule(p.schedule, o.constraints).empty());
+}
+
 TEST(MfsFeatures, FunctionalPipeliningDiffeq) {
   const auto r = pipeline::runFunctionalPipelinedMfs(workloads::diffeq(), 6, 3);
   ASSERT_TRUE(r.feasible) << r.error;

@@ -282,6 +282,29 @@ TEST(Mfsa, UnschedulableChainedOpSpendsNoRestarts) {
   EXPECT_EQ(trace::counterValue(trace::Counter::MfsaRestarts), before);
 }
 
+TEST(Mfsa, OpLongerThanLatencyNeedsAPipelinedModule) {
+  MfsaOptions o;
+  o.constraints = test::latencyOne();
+  const auto r =
+      runMfsa(test::multicycleChain(), celllib::ncrLike(), o);
+  EXPECT_FALSE(r.feasible);
+  EXPECT_TRUE(test::namesSelfOverlap(r.error)) << r.error;
+
+  // The one-stage multiplier is cheaper, but a fresh ALU keeps its module's
+  // rule: only the two-stage multiplier can restart every step.
+  o.constraints.pipelinedFus.insert(dfg::FuType::Multiplier);
+  const celllib::CellLibrary lib =
+      celllib::ncrLike({.pipelinedMultiplier = true});
+  const auto p = runMfsa(test::multicycleChain(), lib, o);
+  ASSERT_TRUE(p.feasible) << p.error;
+  for (const rtl::AluInstance& a : p.datapath.alus)
+    if (lib.module(a.module).supports(dfg::FuType::Multiplier))
+      EXPECT_GT(lib.module(a.module).stages, 1);
+  EXPECT_TRUE(rtl::verifyDatapath(p.datapath, o.constraints,
+                                  rtl::DesignStyle::Unrestricted)
+                  .empty());
+}
+
 TEST(Mfsa, UnschedulableZeroBudgetStopsTheLengthSearch) {
   // A zero multiplier budget holds at every length: one runMfsa call must
   // settle it instead of one per cs up to the cap.
