@@ -49,16 +49,6 @@ struct CriticalityDomain {
   }
 };
 
-int muxLevels(std::size_t sources) {
-  int levels = 0;
-  std::size_t span = 1;
-  while (span < sources) {
-    span *= 2;
-    ++levels;
-  }
-  return levels;
-}
-
 }  // namespace
 
 CriticalityResult analyzeCriticality(const rtl::Datapath& d,
@@ -81,9 +71,10 @@ CriticalityResult analyzeCriticality(const rtl::Datapath& d,
     const celllib::Module& m = d.lib->module(d.alus[idx].module);
     int levels = 0;
     if (idx < d.leftPort.size())
-      levels = std::max(levels, muxLevels(d.leftPort[idx].sources.size()));
+      levels = timing::muxLevels(d.leftPort[idx].sources.size());
     if (idx < d.rightPort.size())
-      levels = std::max(levels, muxLevels(d.rightPort[idx].sources.size()));
+      levels = std::max(levels,
+                        timing::muxLevels(d.rightPort[idx].sources.size()));
     r.observedDelayNs[op] = m.delayNs +
                             levels * timing::kDelayModel.muxLevelNs +
                             timing::kDelayModel.busNs;

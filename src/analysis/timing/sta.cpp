@@ -17,13 +17,6 @@ using dfg::NodeId;
 /// budget.
 constexpr double kNearCriticalFraction = 0.9;
 
-/// 2:1 stages of a tree mux with `inputs` data inputs (0 for a plain wire).
-int muxLevels(std::size_t inputs) {
-  int levels = 0;
-  for (std::size_t reach = 1; reach < inputs; reach <<= 1) ++levels;
-  return levels;
-}
-
 /// Everything the walker accumulates per operation.
 struct OpTiming {
   double settleNs = 0;  ///< result-valid time within the op's END step
@@ -165,6 +158,12 @@ struct Walker {
 };
 
 }  // namespace
+
+int muxLevels(std::size_t inputs) {
+  int levels = 0;
+  for (std::size_t reach = 1; reach < inputs; reach <<= 1) ++levels;
+  return levels;
+}
 
 TimingReport analyzeTiming(const rtl::Datapath& d, const TimingOptions& opts) {
   const trace::Span span("sta");

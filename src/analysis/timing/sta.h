@@ -39,6 +39,10 @@ struct DelayModel {
 /// The one delay model STA, criticality and tune's clock derating share.
 inline constexpr DelayModel kDelayModel{};
 
+/// 2:1 stages of a tree mux with `inputs` data inputs (0 for a plain wire):
+/// the mux depth STA times and criticality's observed delay counts.
+int muxLevels(std::size_t inputs);
+
 struct TimingOptions {
   double clockNs = 100.0;  ///< control-step period to audit against
   bool clockSet = false;   ///< false: no user constraint (TIM002 territory)

@@ -64,6 +64,13 @@ bool fires(const LintReport& r, std::string_view rule) {
 // Path model
 // ---------------------------------------------------------------------------
 
+TEST(Sta, MuxLevelsCountTwoToOneStages) {
+  // A plain wire or one source needs no mux; each doubling adds a stage.
+  const int expected[] = {0, 0, 1, 2, 2, 3, 3, 3, 3, 4};
+  for (std::size_t inputs = 0; inputs < std::size(expected); ++inputs)
+    EXPECT_EQ(muxLevels(inputs), expected[inputs]) << inputs << " inputs";
+}
+
 TEST(Sta, SingleAddPathSumsAllComponents) {
   dfg::Builder b("one");
   const auto s = b.add(b.input("x"), b.input("y"), "s");
