@@ -5,6 +5,7 @@
 #include <set>
 
 #include "analysis/rules.h"
+#include "trace/trace.h"
 #include "util/strings.h"
 
 namespace mframe::analysis {
@@ -15,6 +16,7 @@ using dfg::NodeId;
 
 LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
                         rtl::DesignStyle style) {
+  const trace::Span span("verify.datapath");
   LintReport r;
   const dfg::Dfg& g = *d.graph;
 
@@ -113,6 +115,7 @@ LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
                  "repack the lifetimes into disjoint registers"));
     }
   }
+  trace::bump(trace::Counter::VerifyCells, cells);
   for (const alloc::Lifetime& lt : d.lifetimes)
     if (lt.needsRegister && !d.regOfSignal.count(lt.producer))
       r.add(diag(kRtlMissingRegister, EntityKind::Node,

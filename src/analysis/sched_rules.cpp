@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "analysis/rules.h"
+#include "trace/trace.h"
 #include "util/strings.h"
 
 namespace mframe::analysis {
@@ -19,6 +20,7 @@ using sched::Schedule;
 }  // namespace
 
 LintReport lintSchedule(const Schedule& s, const Constraints& c) {
+  const trace::Span span("verify.schedule");
   LintReport r;
   const dfg::Dfg& g = s.graph();
   const int cs = s.numSteps();
@@ -121,6 +123,7 @@ LintReport lintSchedule(const Schedule& s, const Constraints& c) {
                       : "move one operation to a free column or another step"));
     }
   }
+  trace::bump(trace::Counter::VerifyCells, cells);
 
   // -- SCH008: resource limits ----------------------------------------------
   for (const auto& [type, used] : s.fuCount()) {

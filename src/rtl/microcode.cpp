@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "trace/trace.h"
 #include "util/strings.h"
 
 namespace mframe::rtl {
@@ -67,6 +68,7 @@ std::vector<dfg::OpKind> aluOpcodes(const Datapath& d, int alu) {
 }
 
 MicrocodeRom buildMicrocode(const Datapath& d, const ControllerFsm& fsm) {
+  const trace::Span span("rtl.microcode");
   using Kind = MicrocodeField::Kind;
   MicrocodeRom rom;
   rom.words = fsm.numSteps;

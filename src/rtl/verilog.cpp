@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "rtl/step_index.h"
+#include "trace/trace.h"
 #include "util/strings.h"
 
 namespace mframe::rtl {
@@ -47,6 +48,7 @@ std::string verilogOp(dfg::OpKind k, const std::string& a, const std::string& b)
 }  // namespace
 
 std::string toVerilog(const Datapath& d, const ControllerFsm& fsm, int width) {
+  const trace::Span span("rtl.verilog");
   const dfg::Dfg& g = *d.graph;
   std::string v;
   const std::string mod = ident(g.name());

@@ -48,6 +48,7 @@ std::string_view counterName(Counter c) {
     case Counter::RangeFindings: return "range.findings";
     case Counter::DfgFreezes: return "dfg.freezes";
     case Counter::DfgCsrEdges: return "dfg.csrEdges";
+    case Counter::VerifyCells: return "verify.cells";
     case Counter::kCount: break;
   }
   return "?";

@@ -60,6 +60,7 @@ enum class Counter : int {
   RangeFindings,          ///< WID diagnostics emitted
   DfgFreezes,             ///< Dfg::freeze index builds
   DfgCsrEdges,            ///< CSR edges laid out across all freezes
+  VerifyCells,            ///< cells + same-cell pairs of the occupancy sweep
   kCount
 };
 

@@ -12,10 +12,13 @@
 #include <vector>
 
 #include "analysis/dataflow/engine.h"
+#include "analysis/rtl_rules.h"
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/frames.h"
 #include "core/grid.h"
 #include "core/mfs.h"
+#include "core/mfsa.h"
 #include "dfg/builder.h"
 #include "dfg/transforms.h"
 #include "explore/explore.h"
@@ -177,6 +180,45 @@ TEST(Scale, CountersGrowLinearlyInN) {
     EXPECT_LE(visits[1], visits[0] * 22 / 10) << "topology " << static_cast<int>(topo);
     EXPECT_GE(visits[1], visits[0]) << "topology " << static_cast<int>(topo);
     EXPECT_LE(edges[1], edges[0] * 22 / 10) << "topology " << static_cast<int>(topo);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Checker linearity: SCH007, RTL005 and RTL007 sweep the cells each unit's
+// ops and lifetimes occupy, so verifying an MFSA design at 2N ops must stay
+// within 2.2x the verify.cells work at N (comparing every pair of ops per
+// unit grew quadratically).
+
+TEST(Scale, VerifyCellsGrowLinearlyInN) {
+  const CounterScope counters;
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  for (const auto topo : {workloads::DfgTopology::Conv,
+                          workloads::DfgTopology::Lstm,
+                          workloads::DfgTopology::Transformer}) {
+    std::uint64_t cells[2];
+    const int sizes[2] = {5000, 10000};
+    for (int i = 0; i < 2; ++i) {
+      workloads::RandomDfgOptions opt;
+      opt.topology = topo;
+      opt.numOps = sizes[i];
+      opt.layerWidth = 64;
+      opt.seed = 7;
+      const dfg::Dfg g = workloads::randomDfg(opt);
+      core::MfsaOptions mo;
+      mo.constraints.timeSteps =
+          sched::computeTimeFrames(g, mo.constraints)->criticalSteps();
+      const core::MfsaResult r = core::runMfsa(g, lib, mo);
+      ASSERT_TRUE(r.feasible) << r.error;
+      const std::uint64_t c0 = counter(trace::Counter::VerifyCells);
+      EXPECT_TRUE(
+          analysis::lintSchedule(r.datapath.schedule, mo.constraints).empty());
+      EXPECT_TRUE(analysis::lintDatapath(r.datapath, mo.constraints,
+                                         rtl::DesignStyle::Unrestricted)
+                      .empty());
+      cells[i] = counter(trace::Counter::VerifyCells) - c0;
+    }
+    EXPECT_LE(cells[1], cells[0] * 22 / 10) << "topology " << static_cast<int>(topo);
+    EXPECT_GE(cells[1], cells[0]) << "topology " << static_cast<int>(topo);
   }
 }
 

@@ -119,7 +119,7 @@ import sys
 d = json.load(open(sys.argv[1]))
 names = {e["name"] for e in d["traceEvents"]}
 need = {"parse", "preflight-lint", "timeframes", "mfsa",
-        "rtl.datapath", "rtl.controller"}
+        "rtl.datapath", "rtl.controller", "verify.datapath"}
 missing = need - names
 assert not missing, f"trace smoke: missing spans {missing}"
 assert d["metrics"]["counters"]["mfsa.candidates"] > 0
