@@ -74,7 +74,7 @@ class ColumnOccupancy {
   std::vector<int> whereCol_;   ///< by node; 0 = not placed
 };
 
-/// MFS's 3-D space: one column table per FU type.
+/// The 3-D space of MFS and the baselines: one column table per FU type.
 class Grid {
  public:
   Grid(const dfg::Dfg& g, const sched::Constraints& c);

@@ -297,9 +297,11 @@ TEST(Mfsa, OpLongerThanLatencyNeedsAPipelinedModule) {
       celllib::ncrLike({.pipelinedMultiplier = true});
   const auto p = runMfsa(test::multicycleChain(), lib, o);
   ASSERT_TRUE(p.feasible) << p.error;
-  for (const rtl::AluInstance& a : p.datapath.alus)
-    if (lib.module(a.module).supports(dfg::FuType::Multiplier))
+  for (const rtl::AluInstance& a : p.datapath.alus) {
+    if (lib.module(a.module).supports(dfg::FuType::Multiplier)) {
       EXPECT_GT(lib.module(a.module).stages, 1);
+    }
+  }
   EXPECT_TRUE(rtl::verifyDatapath(p.datapath, o.constraints,
                                   rtl::DesignStyle::Unrestricted)
                   .empty());
