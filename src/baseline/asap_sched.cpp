@@ -14,7 +14,7 @@ AsapResult runAsap(const dfg::Dfg& g, const sched::Constraints& c) {
     res.error = "invalid DFG: " + *err;
     return res;
   }
-  if (auto why = core::unschedulableReason(g, c)) {
+  if (auto why = core::unschedulableReason(g, c, c.pipelinedFus)) {
     res.error = *why;
     return res;
   }

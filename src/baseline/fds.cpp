@@ -55,7 +55,7 @@ FdsResult runForceDirected(const dfg::Dfg& g, const sched::Constraints& c) {
     res.error = "FDS needs constraints.timeSteps > 0";
     return res;
   }
-  if (auto why = core::unschedulableReason(g, c)) {
+  if (auto why = core::unschedulableReason(g, c, c.pipelinedFus)) {
     res.error = *why;
     return res;
   }

@@ -22,7 +22,7 @@ ListSchedResult runListScheduling(const dfg::Dfg& g, const sched::Constraints& c
     res.error = "invalid DFG: " + *err;
     return res;
   }
-  if (auto why = core::unschedulableReason(g, c)) {
+  if (auto why = core::unschedulableReason(g, c, c.pipelinedFus)) {
     res.error = *why;
     return res;
   }

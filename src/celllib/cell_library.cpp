@@ -31,10 +31,11 @@ std::vector<ModuleId> CellLibrary::capableModules(dfg::FuType t) const {
   return out;
 }
 
-std::optional<ModuleId> CellLibrary::cheapestFor(dfg::FuType t) const {
-  const auto c = capableModules(t);
-  if (c.empty()) return std::nullopt;
-  return c.front();
+std::optional<ModuleId> CellLibrary::cheapestFor(dfg::FuType t,
+                                                 bool pipelined) const {
+  for (ModuleId m : capableModules(t))
+    if (!pipelined || module(m).stages > 1) return m;
+  return std::nullopt;
 }
 
 void CellLibrary::setMuxCosts(std::vector<double> costByInputs) {

@@ -49,8 +49,10 @@ class CellLibrary {
   /// Ids of all modules able to perform FU type `t`, cheapest first.
   std::vector<ModuleId> capableModules(dfg::FuType t) const;
 
-  /// The cheapest module for `t`, if any.
-  std::optional<ModuleId> cheapestFor(dfg::FuType t) const;
+  /// The cheapest module for `t`, if any; with `pipelined`, the cheapest
+  /// structurally pipelined one (stages > 1).
+  std::optional<ModuleId> cheapestFor(dfg::FuType t,
+                                      bool pipelined = false) const;
 
   /// Set the multiplexer cost table: costByInputs[r] = area of an r-input
   /// mux. Entries 0 and 1 must be 0 (a wire). Beyond the table, cost grows

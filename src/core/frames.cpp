@@ -10,8 +10,9 @@ bool fitsNoStep(const dfg::Dfg& g, const sched::Constraints& c, dfg::NodeId n) {
   return c.allowChaining && g.cyclesOf(n) == 1 && g.delayOf(n) > c.clockNs;
 }
 
-std::optional<std::string> unschedulableReason(const dfg::Dfg& g,
-                                               const sched::Constraints& c) {
+std::optional<std::string> unschedulableReason(
+    const dfg::Dfg& g, const sched::Constraints& c,
+    const std::set<dfg::FuType>& pipelined) {
   for (const auto& [type, limit] : c.fuLimit) {
     const std::size_t uses = g.countOfType(type);
     if (limit < 1 && uses > 0) {
@@ -24,8 +25,8 @@ std::optional<std::string> unschedulableReason(const dfg::Dfg& g,
   for (dfg::NodeId id = 0; id < g.size(); ++id) {
     if (!dfg::isSchedulable(g.kindOf(id))) continue;
     const dfg::FuType type = dfg::fuTypeOf(g.kindOf(id));
-    if (c.latency > 0 && g.cyclesOf(id) > c.latency &&
-        !c.pipelinedFus.count(type))
+    if (overlapsOwnInitiation(g.cyclesOf(id), c.latency,
+                              pipelined.count(type) > 0))
       return util::format(
           "'%s' overlaps its own next initiation: its %d cycles exceed the "
           "latency %d on an unpipelined %s",

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,13 +27,16 @@ bool fitsNoStep(const dfg::Dfg& g, const sched::Constraints& c, dfg::NodeId n);
 
 /// Why no schedule of `g` under `c` exists at any length, or nullopt: an FU
 /// type the graph uses with a budget below one unit, an operation of a type
-/// outside c.pipelinedFus with more cycles than a positive latency (it would
-/// overlap its own next initiation), or an operation that fits no control
-/// step. Every scheduler checks this once before its search, which
-/// otherwise finds it only after exhausting its restart budget or its
-/// schedule-length cap, or never.
-std::optional<std::string> unschedulableReason(const dfg::Dfg& g,
-                                               const sched::Constraints& c);
+/// outside `pipelined` that overlaps its own next initiation
+/// (overlapsOwnInitiation), or an operation that fits no control step.
+/// `pipelined` names the FU types the scheduler may run on pipelined units:
+/// c.pipelinedFus for MFS and the baselines, the types the cell library has
+/// a multi-stage module for in MFSA. Every scheduler checks this once
+/// before its search, which otherwise finds it only after exhausting its
+/// restart budget or its schedule-length cap, or never.
+std::optional<std::string> unschedulableReason(
+    const dfg::Dfg& g, const sched::Constraints& c,
+    const std::set<dfg::FuType>& pipelined);
 
 class FrameCalculator {
  public:

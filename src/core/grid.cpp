@@ -53,12 +53,10 @@ bool ColumnOccupancy::canPlace(dfg::NodeId n, int col, int step) const {
       if (!cellFree(key(col, s))) return false;
     return true;
   }
+  if (overlapsOwnInitiation(g_->cyclesOf(n), latency_, isPipelined(col)))
+    return false;
   for (std::uint64_t k : cellsFor(n, col, step))
     if (!cellFree(k)) return false;
-  // A multicycle op folded tighter than its own duration would overlap its
-  // next initiation (functional pipelining): reject when cycles > latency.
-  if (latency_ > 0 && !isPipelined(col) && g_->cyclesOf(n) > latency_)
-    return false;
   return true;
 }
 

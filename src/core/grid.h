@@ -33,6 +33,16 @@
 
 namespace mframe::core {
 
+/// Under functional-pipelining latency L > 0 an op restarts every L steps,
+/// so on an unpipelined unit one of more than L cycles overlaps its own next
+/// initiation. A pipelined unit takes one initiation per step. The caller
+/// decides what `pipelined` means: Constraints::pipelinedFus for MFS and the
+/// baselines, the module's stage count for MFSA (before binding, whether
+/// the library has a multi-stage module for the type).
+inline bool overlapsOwnInitiation(int cycles, int latency, bool pipelined) {
+  return latency > 0 && !pipelined && cycles > latency;
+}
+
 class ColumnOccupancy {
  public:
   ColumnOccupancy(const dfg::Dfg& g, const sched::Constraints& c)

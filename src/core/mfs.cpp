@@ -119,7 +119,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
   }
   // No schedule length or column budget can fix these inputs, so fail
   // before the search instead of walking cs up to kMfsMaxStepsCap.
-  if (auto why = unschedulableReason(g, c)) {
+  if (auto why = unschedulableReason(g, c, c.pipelinedFus)) {
     res.error = *why;
     return res;
   }

@@ -80,7 +80,12 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
     res.error = tfError;
     return res;
   }
-  if (auto why = unschedulableReason(g, c)) {
+  // MFSA binds its own modules, so a type may run pipelined exactly when
+  // the library has a multi-stage module for it.
+  std::set<FuType> pipelinedTypes;
+  for (FuType t : neededTypes)
+    if (lib.cheapestFor(t, /*pipelined=*/true)) pipelinedTypes.insert(t);
+  if (auto why = unschedulableReason(g, c, pipelinedTypes)) {
     res.error = *why;
     return res;
   }
@@ -315,11 +320,10 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
           }
         }
         if (budgetOpen) {
-          // A fresh ALU keeps its module's occupancy rule too: a one-stage
-          // module cannot take an op that overlaps its next initiation.
-          const bool overlapsItself = c.latency > 0 && n.cycles > c.latency;
+          // A fresh ALU keeps its module's occupancy rule too.
           for (celllib::ModuleId m : lib.capableModules(type))
-            if (lib.module(m).stages > 1 || !overlapsItself)
+            if (!overlapsOwnInitiation(n.cycles, c.latency,
+                                       lib.module(m).stages > 1))
               pushSteps(nullptr, m, lib.module(m).areaUm2);
         }
         trace::bump(trace::Counter::MfsaCandidates, cands.size());

@@ -192,24 +192,36 @@ TEST(Frames, FitsNoStepWhenTheOpOutlastsTheChainedClock) {
 TEST(Frames, UnschedulableReasonNamesTheBlocker) {
   const dfg::Dfg g = test::smallDiamond();
   sched::Constraints c;
-  EXPECT_FALSE(unschedulableReason(g, c).has_value());
+  EXPECT_FALSE(unschedulableReason(g, c, {}).has_value());
 
   c.fuLimit[dfg::FuType::Divider] = 0;  // a type the graph does not use
-  EXPECT_FALSE(unschedulableReason(g, c).has_value());
+  EXPECT_FALSE(unschedulableReason(g, c, {}).has_value());
 
   c.fuLimit[dfg::FuType::Multiplier] = 0;
-  auto why = unschedulableReason(g, c);
+  auto why = unschedulableReason(g, c, {});
   ASSERT_TRUE(why.has_value());
   EXPECT_NE(why->find("multiplier budget 0"), std::string::npos) << *why;
 
   c.fuLimit[dfg::FuType::Multiplier] = 1;
   c.allowChaining = true;
   c.clockNs = 50.0;
-  why = unschedulableReason(g, c);
+  why = unschedulableReason(g, c, {});
   ASSERT_TRUE(why.has_value());
   EXPECT_NE(why->find("'y'"), std::string::npos) << *why;
   EXPECT_NE(why->find("160 ns"), std::string::npos) << *why;
   EXPECT_NE(why->find("50 ns clock"), std::string::npos) << *why;
+}
+
+TEST(Frames, UnschedulableReasonTakesTheCallersPipelinedTypes) {
+  // Two-cycle multiplies restarted every step: only a pipelined multiplier
+  // can run them, and the caller says which types it runs pipelined.
+  const dfg::Dfg g = test::multicycleChain();
+  const sched::Constraints c = test::latencyOne();
+  const auto why = unschedulableReason(g, c, {});
+  ASSERT_TRUE(why.has_value());
+  EXPECT_TRUE(test::namesSelfOverlap(*why)) << *why;
+  EXPECT_FALSE(
+      unschedulableReason(g, c, {dfg::FuType::Multiplier}).has_value());
 }
 
 }  // namespace
