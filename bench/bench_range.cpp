@@ -37,8 +37,9 @@ struct Synthesized {
 Synthesized synthesize(const dfg::Dfg& g) {
   static const celllib::CellLibrary lib = celllib::ncrLike();
   const auto asap = baseline::runAsap(g, {});
-  Synthesized s{rtl::buildDatapath(g, lib, asap.schedule,
-                                   rtl::bindByColumns(g, lib, asap.schedule)),
+  Synthesized s{rtl::buildDatapath(
+                    g, lib, asap.schedule,
+                    rtl::bindByColumns(g, lib, asap.schedule, {})),
                 {},
                 {}};
   s.fsm = rtl::buildController(s.datapath);

@@ -44,7 +44,8 @@ void BM_CriticalityPass(benchmark::State& state) {
     return;
   }
   const rtl::Datapath dp = rtl::buildDatapath(
-      bc.graph, lib, r.schedule, rtl::bindByColumns(bc.graph, lib, r.schedule));
+      bc.graph, lib, r.schedule,
+      rtl::bindByColumns(bc.graph, lib, r.schedule, mo.constraints));
   analysis::timing::TimingOptions to;
   to.clockNs = 200.0;
   to.clockSet = true;

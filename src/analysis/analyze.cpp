@@ -40,7 +40,8 @@ AnalyzeResult analyzeDesign(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 
   try {
     const rtl::Datapath dp = rtl::buildDatapath(
-        g, lib, sched.schedule, rtl::bindByColumns(g, lib, sched.schedule));
+        g, lib, sched.schedule,
+        rtl::bindByColumns(g, lib, sched.schedule, mfs.constraints));
     r.timing = timing::analyzeTiming(
         dp, {.clockNs = opts.constraints.clockNs, .clockSet = opts.clockSet});
     r.timingRan = true;

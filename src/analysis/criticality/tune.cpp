@@ -42,7 +42,9 @@ struct Pipeline {
 /// Synthesize + time one full schedule. Throws on datapath failure.
 Pipeline runPipeline(const dfg::Dfg& g, const celllib::CellLibrary& lib,
                      const sched::Schedule& s, const TuneOptions& opt) {
-  Pipeline p{rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s)), {}};
+  Pipeline p{rtl::buildDatapath(
+                 g, lib, s, rtl::bindByColumns(g, lib, s, opt.constraints)),
+             {}};
   p.timing = timing::analyzeTiming(
       p.dp, {.clockNs = opt.constraints.clockNs, .clockSet = true});
   return p;

@@ -68,8 +68,11 @@ Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 
 std::vector<AluInstance> bindByColumns(const dfg::Dfg& g,
                                        const celllib::CellLibrary& lib,
-                                       const sched::Schedule& s) {
+                                       const sched::Schedule& s,
+                                       const sched::Constraints& c) {
   std::vector<AluInstance> alus;
+  std::vector<dfg::FuType> typeOf;  ///< by instance
+  std::vector<bool> multicycle;     ///< by instance: holds an op of > 1 cycle
   std::map<std::pair<dfg::FuType, int>, std::size_t> instanceOf;
   for (const dfg::Node& n : g.nodes()) {
     if (!dfg::isSchedulable(n.kind) || !s.isPlaced(n.id)) continue;
@@ -77,17 +80,30 @@ std::vector<AluInstance> bindByColumns(const dfg::Dfg& g,
     const auto key = std::make_pair(t, s.columnOf(n.id));
     auto it = instanceOf.find(key);
     if (it == instanceOf.end()) {
-      const std::optional<celllib::ModuleId> m = lib.cheapestFor(t);
-      if (!m)
-        throw std::runtime_error("cell library has no module for FU type '" +
-                                 std::string(dfg::fuTypeName(t)) + "'");
       AluInstance a;
-      a.module = *m;
       a.index = static_cast<int>(alus.size());
       alus.push_back(std::move(a));
+      typeOf.push_back(t);
+      multicycle.push_back(false);
       it = instanceOf.emplace(key, alus.size() - 1).first;
     }
     alus[it->second].ops.push_back(n.id);
+    if (n.cycles > 1) multicycle[it->second] = true;
+  }
+  for (std::size_t i = 0; i < alus.size(); ++i) {
+    // A single-cycle op holds only its start step under either occupancy
+    // rule, so only a pipelined column with a multicycle op may rely on
+    // overlapping initiations.
+    const bool pipelined =
+        multicycle[i] && c.pipelinedFus.count(typeOf[i]) > 0;
+    const std::optional<celllib::ModuleId> m =
+        lib.cheapestFor(typeOf[i], pipelined);
+    if (!m)
+      throw std::runtime_error(
+          std::string("cell library has no ") +
+          (pipelined ? "pipelined " : "") + "module for FU type '" +
+          std::string(dfg::fuTypeName(typeOf[i])) + "'");
+    alus[i].module = *m;
   }
   return alus;
 }

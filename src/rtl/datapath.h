@@ -96,12 +96,16 @@ std::vector<DeclaredWidth> declaredAluWidths(const Datapath& d);
 
 /// Derive an ALU binding from a schedule's (FU type, column) grid: each
 /// occupied column of each type becomes one ALU instance (first-seen order),
-/// implemented by the library's cheapest capable module. Baseline schedulers
-/// return bare schedules; this is the canonical binding used to lift them
-/// into datapaths. Throws std::runtime_error when the library cannot
-/// implement a needed type.
+/// implemented by the library's cheapest capable module. The scheduler ran
+/// the columns of a type in c.pipelinedFus pipelined (`c` are the
+/// constraints `s` was built under), so such a column that holds a
+/// multicycle op takes the cheapest multi-stage module. MFS and the
+/// baseline schedulers return bare schedules; this is the canonical binding
+/// used to lift them into datapaths. Throws std::runtime_error when the
+/// library cannot implement a needed column.
 std::vector<AluInstance> bindByColumns(const dfg::Dfg& g,
                                        const celllib::CellLibrary& lib,
-                                       const sched::Schedule& s);
+                                       const sched::Schedule& s,
+                                       const sched::Constraints& c);
 
 }  // namespace mframe::rtl

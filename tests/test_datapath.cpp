@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/lint.h"
+#include "baseline/asap_sched.h"
+#include "baseline/fds.h"
+#include "baseline/list_sched.h"
 #include "celllib/ncr_like.h"
+#include "core/mfs.h"
 #include "core/mfsa.h"
+#include "dfg/builder.h"
 #include "helpers.h"
 #include "rtl/cost.h"
 #include "rtl/verify.h"
@@ -51,6 +57,108 @@ TEST(Datapath, AluSummaryGroupsIdenticalSignatures) {
   a.module = *d.lib->cheapestFor(dfg::FuType::Adder);
   d.alus = {a, a};
   EXPECT_EQ(d.aluSummary(), "2(+)");
+}
+
+/// `s` under `c` bound column by column onto `lib`, then linted; every
+/// multiplier ALU must have `mulStages` stages.
+analysis::LintReport lintBound(const dfg::Dfg& g,
+                               const celllib::CellLibrary& lib,
+                               const sched::Schedule& s,
+                               const sched::Constraints& c, int mulStages) {
+  const Datapath d = buildDatapath(g, lib, s, bindByColumns(g, lib, s, c));
+  for (const AluInstance& a : d.alus)
+    if (lib.module(a.module).supports(dfg::FuType::Multiplier)) {
+      EXPECT_EQ(lib.module(a.module).stages, mulStages) << "ALU" << a.index;
+    }
+  return analysis::lintDatapath(d, c, DesignStyle::Unrestricted);
+}
+
+/// The feasible schedules of every scheduler that returns a bare schedule,
+/// run under `c`.
+std::vector<std::pair<std::string, sched::Schedule>> bareSchedules(
+    const dfg::Dfg& g, const sched::Constraints& c) {
+  std::vector<std::pair<std::string, sched::Schedule>> out;
+  const auto keep = [&](const char* name, const auto& r) {
+    EXPECT_TRUE(r.feasible) << name << ": " << r.error;
+    if (r.feasible) out.emplace_back(name, r.schedule);
+  };
+  keep("asap", baseline::runAsap(g, c));
+  keep("list", baseline::runListScheduling(g, c));
+  keep("fds", baseline::runForceDirected(g, c));
+  core::MfsOptions o;
+  o.constraints = c;
+  keep("mfs", core::runMfs(g, o));
+  EXPECT_EQ(out.size(), 4u);
+  return out;
+}
+
+TEST(BindByColumns, PipelinedTypeTakesAMultiStageModule) {
+  // Two independent two-cycle products on one pipelined multiplier start in
+  // steps 1 and 2; a one-stage multiplier would run them concurrently.
+  dfg::Builder b("pm");
+  const auto x = b.input("x");
+  const auto y = b.input("y");
+  const auto m1 = b.mul(x, y, "m1", 2);
+  const auto m2 = b.mul(y, x, "m2", 2);
+  b.output(b.add(m1, m2, "s1"), "o");
+  const dfg::Dfg g = std::move(b).build();
+  sched::Constraints c;
+  c.timeSteps = 4;
+  c.fuLimit[dfg::FuType::Multiplier] = 1;
+  c.pipelinedFus.insert(dfg::FuType::Multiplier);
+  const celllib::CellLibrary lib =
+      celllib::ncrLike({.pipelinedMultiplier = true});
+  for (const auto& [name, s] : bareSchedules(g, c)) {
+    const analysis::LintReport r = lintBound(g, lib, s, c, 2);
+    EXPECT_TRUE(r.empty()) << name << ":\n" << r.renderText();
+    if (name == "list" || name == "mfs") {
+      EXPECT_EQ(s.columnOf(m1), s.columnOf(m2)) << name;
+      EXPECT_NE(s.stepOf(m1), s.stepOf(m2)) << name;
+    }
+  }
+
+  // Restarted every step, each two-cycle product needs a two-stage unit of
+  // its own: the folded schedule has one step.
+  sched::Constraints every = test::latencyOne();
+  every.fuLimit[dfg::FuType::Multiplier] = 2;
+  every.pipelinedFus.insert(dfg::FuType::Multiplier);
+  const dfg::Dfg mc = test::multicycleChain();
+  for (const auto& [name, s] : bareSchedules(mc, every)) {
+    const analysis::LintReport r = lintBound(mc, lib, s, every, 2);
+    EXPECT_TRUE(r.empty()) << name << ":\n" << r.renderText();
+  }
+}
+
+TEST(BindByColumns, SingleCycleColumnsKeepTheCheapestModule) {
+  // A single-cycle op holds only its start step on any unit, so diffeq's
+  // products need no pipelined multiplier even under pipelinedFus.
+  sched::Constraints c;
+  c.timeSteps = 4;
+  c.pipelinedFus.insert(dfg::FuType::Multiplier);
+  const celllib::CellLibrary lib =
+      celllib::ncrLike({.pipelinedMultiplier = true});
+  const dfg::Dfg g = workloads::diffeq();
+  for (const auto& [name, s] : bareSchedules(g, c)) {
+    const analysis::LintReport r = lintBound(g, lib, s, c, 1);
+    EXPECT_TRUE(r.empty()) << name << ":\n" << r.renderText();
+  }
+}
+
+TEST(BindByColumns, PipelinedTypeNeedsAMultiStageModule) {
+  sched::Constraints c = test::latencyOne();
+  c.pipelinedFus.insert(dfg::FuType::Multiplier);
+  const dfg::Dfg g = test::multicycleChain();
+  const auto r = baseline::runAsap(g, c);
+  ASSERT_TRUE(r.feasible) << r.error;
+  // The default library's only multiplier has one stage.
+  try {
+    bindByColumns(g, celllib::ncrLike(), r.schedule, c);
+    ADD_FAILURE() << "bound a pipelined column to a one-stage multiplier";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "cell library has no pipelined module for FU type "
+                 "'multiplier'");
+  }
 }
 
 TEST(Cost, BreakdownSumsAndCounts) {

@@ -64,7 +64,7 @@ dfg::Dfg twoCycleMuls(int n) {
 rtl::Datapath bindColumns(const sched::Schedule& s) {
   static const celllib::CellLibrary lib = celllib::ncrLike();
   const dfg::Dfg& g = s.graph();
-  return rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s));
+  return rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s, {}));
 }
 
 // ---------------------------------------------------------------------------
@@ -646,7 +646,7 @@ TEST(LintRtl, RegisterOverlapFires) {  // RTL007
       regs.registers.push_back({i});
   }
   const rtl::Datapath d =
-      rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s), regs);
+      rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s, {}), regs);
   sched::Constraints c;
   c.timeSteps = 1;
   const LintReport r = lintDatapath(d, c, rtl::DesignStyle::Unrestricted);

@@ -134,7 +134,7 @@ void expectClean(const dfg::Dfg& g, const sched::Schedule& s,
                  const std::string& what) {
   static const celllib::CellLibrary lib = celllib::ncrLike();
   const rtl::Datapath d =
-      rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s));
+      rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s, {}));
   const RangeResult r = rangeDatapath(d);
   EXPECT_TRUE(r.clean()) << what << ":\n" << r.report.renderText();
   EXPECT_EQ(r.reach.reachableCount(), r.reach.numStates) << what;
@@ -446,7 +446,7 @@ TEST(RangeDeterminism, ReportJsonAndCountersAreJobsInvariant) {
   const auto asap = baseline::runAsap(g, {});
   ASSERT_TRUE(asap.feasible);
   const rtl::Datapath d = rtl::buildDatapath(
-      g, lib, asap.schedule, rtl::bindByColumns(g, lib, asap.schedule));
+      g, lib, asap.schedule, rtl::bindByColumns(g, lib, asap.schedule, {}));
 
   trace::enableCounters(true);
   trace::resetCounters();

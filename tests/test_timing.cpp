@@ -45,7 +45,7 @@ rtl::Datapath synthesize(const dfg::Dfg& g, const sched::Constraints& c) {
   const core::MfsResult r = core::runMfs(g, opts);
   EXPECT_TRUE(r.feasible) << r.error;
   return rtl::buildDatapath(g, lib(), r.schedule,
-                            rtl::bindByColumns(g, lib(), r.schedule));
+                            rtl::bindByColumns(g, lib(), r.schedule, c));
 }
 
 TimingReport analyzeAt(const dfg::Dfg& g, const sched::Constraints& c,

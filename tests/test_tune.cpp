@@ -119,8 +119,9 @@ TEST(Criticality, SeedsViolatingEndpointsAndDecaysBackward) {
   const core::MfsResult r = core::runMfs(g, mo);
   ASSERT_TRUE(r.feasible) << r.error;
 
-  const rtl::Datapath dp = rtl::buildDatapath(
-      g, lib, r.schedule, rtl::bindByColumns(g, lib, r.schedule));
+  const rtl::Datapath dp =
+      rtl::buildDatapath(g, lib, r.schedule,
+                         rtl::bindByColumns(g, lib, r.schedule, mo.constraints));
   timing::TimingOptions to;
   to.clockNs = 100.0;
   to.clockSet = true;

@@ -149,7 +149,7 @@ void expectProved(const dfg::Dfg& g, const sched::Schedule& s,
                   const std::string& what) {
   static const celllib::CellLibrary lib = celllib::ncrLike();
   const rtl::Datapath d =
-      rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s));
+      rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s, {}));
   const LintReport r = proveDatapath(d);
   EXPECT_TRUE(r.empty()) << what << ":\n" << r.renderText();
 }

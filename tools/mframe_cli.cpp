@@ -817,8 +817,8 @@ analysis::BoundDesign synthesizeBound(const Cli& cli, const dfg::Dfg& g,
     return b;
   };
   auto fromSchedule = [&](const sched::Schedule& s) {
-    return fromDatapath(
-        rtl::buildDatapath(g, lib, s, rtl::bindByColumns(g, lib, s)));
+    return fromDatapath(rtl::buildDatapath(
+        g, lib, s, rtl::bindByColumns(g, lib, s, constraints)));
   };
   if (cli.schedulerName == "mfsa") {
     core::MfsaOptions o;
