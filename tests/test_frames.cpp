@@ -210,18 +210,16 @@ TEST(Frames, UnschedulableReasonNamesTheBlocker) {
   EXPECT_NE(why->find("'y'"), std::string::npos) << *why;
   EXPECT_NE(why->find("160 ns"), std::string::npos) << *why;
   EXPECT_NE(why->find("50 ns clock"), std::string::npos) << *why;
-}
 
-TEST(Frames, UnschedulableReasonTakesTheCallersPipelinedTypes) {
   // Two-cycle multiplies restarted every step: only a pipelined multiplier
   // can run them, and the caller says which types it runs pipelined.
-  const dfg::Dfg g = test::multicycleChain();
-  const sched::Constraints c = test::latencyOne();
-  const auto why = unschedulableReason(g, c, {});
+  const dfg::Dfg mc = test::multicycleChain();
+  why = unschedulableReason(mc, test::latencyOne(), {});
   ASSERT_TRUE(why.has_value());
   EXPECT_TRUE(test::namesSelfOverlap(*why)) << *why;
-  EXPECT_FALSE(
-      unschedulableReason(g, c, {dfg::FuType::Multiplier}).has_value());
+  EXPECT_FALSE(unschedulableReason(mc, test::latencyOne(),
+                                   {dfg::FuType::Multiplier})
+                   .has_value());
 }
 
 }  // namespace

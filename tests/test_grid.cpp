@@ -75,23 +75,14 @@ TEST(ColumnOccupancy, MulticycleLongerThanLatencyRejected) {
   c.latency = 2;  // a 3-cycle op would overlap its own next initiation
   ColumnOccupancy occ(g, c);
   EXPECT_FALSE(occ.canPlace(g.findByName("m"), 1, 1));
-}
-
-TEST(ColumnOccupancy, OverlapsOwnInitiationOnlyWhenUnpipelined) {
-  EXPECT_FALSE(overlapsOwnInitiation(3, 0, false));  // no latency
-  EXPECT_FALSE(overlapsOwnInitiation(2, 2, false));
-  EXPECT_TRUE(overlapsOwnInitiation(3, 2, false));
-  EXPECT_FALSE(overlapsOwnInitiation(3, 2, true));  // one start per step
-
-  dfg::Builder b("mc");
-  b.mul(b.input("x"), b.input("y"), "m", 3);
-  const dfg::Dfg g = std::move(b).build();
-  sched::Constraints c;
-  c.latency = 2;
-  ColumnOccupancy occ(g, c);
+  // A pipelined unit takes one initiation per step.
   occ.setPipelined(2, true);
-  EXPECT_FALSE(occ.canPlace(g.findByName("m"), 1, 1));
   EXPECT_TRUE(occ.canPlace(g.findByName("m"), 2, 1));
+
+  EXPECT_TRUE(overlapsOwnInitiation(3, 2, false));
+  EXPECT_FALSE(overlapsOwnInitiation(3, 2, true));
+  EXPECT_FALSE(overlapsOwnInitiation(2, 2, false));
+  EXPECT_FALSE(overlapsOwnInitiation(3, 0, false));  // no latency
 }
 
 TEST(ColumnOccupancy, MutuallyExclusiveShareCells) {

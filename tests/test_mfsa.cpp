@@ -306,34 +306,30 @@ TEST(Mfsa, OpLongerThanLatencyNeedsAPipelinedModule) {
   EXPECT_TRUE(rtl::verifyDatapath(p.datapath, o.constraints,
                                   rtl::DesignStyle::Unrestricted)
                   .empty());
-}
 
-TEST(Mfsa, PipelinedMeansTheLibraryHasAMultiStageModule) {
-  // MFSA binds its own modules: a library whose only multiplier has two
-  // stages runs the products pipelined without Constraints::pipelinedFus.
+  // MFSA binds its own modules, so the library decides what is pipelined:
+  // pipelinedFus cannot stand in for a missing multi-stage module (the op
+  // is named before the search, not after exhausting the restart budget)...
+  const test::CounterScope counters;
+  const auto before = trace::counterValue(trace::Counter::MfsaRestarts);
+  const auto q = runMfsa(test::multicycleChain(), celllib::ncrLike(), o);
+  EXPECT_FALSE(q.feasible);
+  EXPECT_TRUE(test::namesSelfOverlap(q.error)) << q.error;
+  EXPECT_EQ(trace::counterValue(trace::Counter::MfsaRestarts), before);
+
+  // ...and a library whose only multiplier has two stages needs none.
+  o.constraints.pipelinedFus.clear();
   const celllib::CellLibrary twoStage = celllib::parseLibrary(
       "library p2\n"
       "reg 1800\n"
       "mux 0 0 620 950 1260\n"
       "module mul16p2 area=17500 delay=90 caps=mul stages=2\n"
       "module add16 area=4000 delay=40 caps=add\n");
-  MfsaOptions o;
-  o.constraints = test::latencyOne();
-  const auto r = runMfsa(test::multicycleChain(), twoStage, o);
-  ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(rtl::verifyDatapath(r.datapath, o.constraints,
+  const auto t = runMfsa(test::multicycleChain(), twoStage, o);
+  ASSERT_TRUE(t.feasible) << t.error;
+  EXPECT_TRUE(rtl::verifyDatapath(t.datapath, o.constraints,
                                   rtl::DesignStyle::Unrestricted)
                   .empty());
-
-  // pipelinedFus cannot stand in for a missing multi-stage module: the op
-  // is named before the search, not after exhausting the restart budget.
-  o.constraints.pipelinedFus.insert(dfg::FuType::Multiplier);
-  const test::CounterScope counters;
-  const auto before = trace::counterValue(trace::Counter::MfsaRestarts);
-  const auto p = runMfsa(test::multicycleChain(), celllib::ncrLike(), o);
-  EXPECT_FALSE(p.feasible);
-  EXPECT_TRUE(test::namesSelfOverlap(p.error)) << p.error;
-  EXPECT_EQ(trace::counterValue(trace::Counter::MfsaRestarts), before);
 }
 
 TEST(Mfsa, UnschedulableZeroBudgetStopsTheLengthSearch) {
