@@ -71,8 +71,6 @@ std::vector<AluInstance> bindByColumns(const dfg::Dfg& g,
                                        const sched::Schedule& s,
                                        const sched::Constraints& c) {
   std::vector<AluInstance> alus;
-  std::vector<dfg::FuType> typeOf;  ///< by instance
-  std::vector<bool> multicycle;     ///< by instance: holds an op of > 1 cycle
   std::map<std::pair<dfg::FuType, int>, std::size_t> instanceOf;
   for (const dfg::Node& n : g.nodes()) {
     if (!dfg::isSchedulable(n.kind) || !s.isPlaced(n.id)) continue;
@@ -83,27 +81,26 @@ std::vector<AluInstance> bindByColumns(const dfg::Dfg& g,
       AluInstance a;
       a.index = static_cast<int>(alus.size());
       alus.push_back(std::move(a));
-      typeOf.push_back(t);
-      multicycle.push_back(false);
       it = instanceOf.emplace(key, alus.size() - 1).first;
     }
     alus[it->second].ops.push_back(n.id);
-    if (n.cycles > 1) multicycle[it->second] = true;
   }
-  for (std::size_t i = 0; i < alus.size(); ++i) {
+  for (AluInstance& a : alus) {
+    const dfg::FuType t = dfg::fuTypeOf(g.kindOf(a.ops.front()));
     // A single-cycle op holds only its start step under either occupancy
     // rule, so only a pipelined column with a multicycle op may rely on
     // overlapping initiations.
     const bool pipelined =
-        multicycle[i] && c.pipelinedFus.count(typeOf[i]) > 0;
-    const std::optional<celllib::ModuleId> m =
-        lib.cheapestFor(typeOf[i], pipelined);
+        c.pipelinedFus.count(t) > 0 &&
+        std::any_of(a.ops.begin(), a.ops.end(),
+                    [&](dfg::NodeId op) { return g.cyclesOf(op) > 1; });
+    const std::optional<celllib::ModuleId> m = lib.cheapestFor(t, pipelined);
     if (!m)
-      throw std::runtime_error(
-          std::string("cell library has no ") +
-          (pipelined ? "pipelined " : "") + "module for FU type '" +
-          std::string(dfg::fuTypeName(typeOf[i])) + "'");
-    alus[i].module = *m;
+      throw std::runtime_error(std::string("cell library has no ") +
+                               (pipelined ? "pipelined " : "") +
+                               "module for FU type '" +
+                               std::string(dfg::fuTypeName(t)) + "'");
+    a.module = *m;
   }
   return alus;
 }
