@@ -39,7 +39,8 @@ struct Constraints {
 
   /// Section 5.5.1: FU types implemented as multi-stage pipelined units.
   /// Operations on such a unit conflict only when they start in the same
-  /// control step (one initiation per step).
+  /// control step (one initiation per step). MFS and the baselines schedule
+  /// by it; MFSA, which binds its own modules, follows their stage counts.
   std::set<dfg::FuType> pipelinedFus;
 };
 
