@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <set>
+#include <sstream>
+
 #include "analysis/analyze.h"
 #include "analysis/rules.h"
 #include "celllib/ncr_like.h"
@@ -12,6 +17,7 @@
 #include "dfg/builder.h"
 #include "dfg/parser.h"
 #include "rtl/datapath.h"
+#include "sched/timeframes.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::analysis::timing {
@@ -278,6 +284,76 @@ TEST(AnalyzeDesign, EmptyDesignSkipsTimingGracefully) {
       analyzeDesign(std::move(b).build(), lib(), AnalyzeOptions{});
   EXPECT_FALSE(r.timingRan);
   EXPECT_FALSE(r.timingSkip.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden timing reports: the endpoint table, the critical path and every TIM
+// diagnostic with its provenance, byte for byte
+// ---------------------------------------------------------------------------
+
+struct TimingGoldenCase {
+  dfg::Dfg graph;
+  int steps;  ///< 0: the design's critical path under `chaining`
+  bool chaining;
+  double clockNs;
+  bool clockSet;
+};
+
+std::string timingGoldenText(const TimingGoldenCase& gc) {
+  sched::Constraints c;
+  c.allowChaining = gc.chaining;
+  c.clockNs = gc.clockNs;
+  c.timeSteps = gc.steps > 0
+                    ? gc.steps
+                    : sched::computeTimeFrames(gc.graph, c)->criticalSteps();
+  const TimingReport r = analyzeAt(gc.graph, c, gc.clockNs, gc.clockSet);
+  return r.toString(gc.graph) + r.diagnostics.renderText();
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(TimingGolden, ReportsMatchCommittedText) {
+  // Clocks and chaining are chosen so that TIM001-TIM004 each fire at least
+  // once across the set, and several paths cross chained ALUs.
+  const TimingGoldenCase cases[] = {
+      {workloads::tseng(), 0, false, 180.0, true},
+      {workloads::chained(), 4, true, 100.0, true},
+      {workloads::diffeq(), 0, true, 200.0, false},
+      {workloads::fir8(), 0, true, 200.0, true},
+      {workloads::arLattice(), 0, false, 170.0, true},
+      {workloads::ewfLike(), 0, false, 70.0, true},
+      {workloads::fdctLike(), 0, true, 200.0, true},
+      {workloads::iirBiquads(), 0, true, 200.0, false},
+      {dfg::parse(readFile(std::string(MFRAME_TESTS_DIR) +
+                           "/../tools/designs/slowchain.dfg")),
+       1, true, 100.0, true},
+  };
+  const bool update = std::getenv("MFRAME_UPDATE_GOLDEN") != nullptr;
+  std::set<std::string> fired;
+  for (const TimingGoldenCase& gc : cases) {
+    const std::string text = timingGoldenText(gc);
+    for (const char* rule : {"TIM001", "TIM002", "TIM003", "TIM004"})
+      if (text.find(std::string("[") + rule + "]") != std::string::npos)
+        fired.insert(rule);
+    const std::string path = std::string(MFRAME_TESTS_DIR) +
+                             "/golden/timing_" + gc.graph.name() + ".txt";
+    if (update) {
+      std::ofstream out(path);
+      ASSERT_TRUE(out.good()) << path;
+      out << text;
+      continue;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden " << path
+                           << " (regenerate with MFRAME_UPDATE_GOLDEN=1)";
+    EXPECT_EQ(text, readFile(path)) << gc.graph.name();
+  }
+  EXPECT_EQ(fired.size(), 4u) << "every TIM rule fires somewhere";
 }
 
 TEST(AnalyzeDesign, EndpointOrderIsDeterministic) {
