@@ -17,12 +17,19 @@ using dfg::NodeId;
 /// budget.
 constexpr double kNearCriticalFraction = 0.9;
 
-/// Everything the walker accumulates per operation.
+/// Everything the walker accumulates per operation: numbers only. The path
+/// lines are rebuilt from them for the endpoints STA reports.
 struct OpTiming {
-  double settleNs = 0;  ///< result-valid time within the op's END step
-  double totalNs = 0;   ///< full combinational time from its start step
+  double settleNs = 0;    ///< result-valid time within the op's END step
+  double totalNs = 0;     ///< full combinational time from its start step
   int chainDepth = 1;
-  std::vector<std::string> provenance;  ///< source ... ALU, outermost first
+  int worstOperand = -1;  ///< operand that sets the arrival; -1 when none
+};
+
+/// One operand's data-valid time at its ALU port, past the port's mux tree.
+struct OperandArrival {
+  double ns = 0;
+  NodeId chainedFrom = dfg::kNoNode;  ///< producer chained in this step
 };
 
 struct Walker {
@@ -65,95 +72,159 @@ struct Walker {
     return nullptr;
   }
 
-  void walkOp(NodeId id) {
-    const dfg::Node& node = g.node(id);
-    const int alu = d.aluOf.at(id);
-    const celllib::Module& module =
-        d.lib->module(d.alus[static_cast<std::size_t>(alu)].module);
+  const celllib::Module& moduleOf(int alu) const {
+    return d.lib->module(d.alus[static_cast<std::size_t>(alu)].module);
+  }
+
+  /// The arrival of operand `i` of `id` on ALU `alu`. With a `path`, also
+  /// appends the hops the operand adds, outermost first: its source and
+  /// bus, then the mux. A chained operand adds only its chaining bus and
+  /// the mux, since its producer's own hops come before them.
+  OperandArrival operandArrival(NodeId id, int alu, std::size_t i,
+                                std::vector<std::string>* path) const {
+    const NodeId p = g.node(id).inputs[i];
     const DelayModel& m = kDelayModel;
-    OpTiming& t = timing[id];
+    const char* side = "left";
+    const alloc::PortWiring* port = portFor(alu, id, p, i, &side);
+    const Source* src = port ? port->sourceFor(id, p) : nullptr;
 
-    double worstArrival = 0.0;
-    std::vector<std::string> worstProv;
-    int worstDepth = 0;
-    bool haveOperand = false;
-    for (std::size_t i = 0; i < node.inputs.size(); ++i) {
-      const NodeId p = node.inputs[i];
-      const char* side = "left";
-      const alloc::PortWiring* port = portFor(alu, id, p, i, &side);
-      const Source* src = port ? port->sourceFor(id, p) : nullptr;
-
-      double arrival = 0.0;
-      int depth = 0;
-      std::vector<std::string> prov;
-      if (!src) {
-        // Unwired reads are RTL009's problem; assume a registered source so
-        // the walk stays total.
-        arrival = m.regClkToQNs + m.busNs;
-        prov.push_back(util::format(
+    OperandArrival a;
+    if (!src) {
+      // Unwired reads are RTL009's problem; assume a registered source so
+      // the walk stays total.
+      a.ns = m.regClkToQNs + m.busNs;
+      if (path)
+        path->push_back(util::format(
             "unwired read of '%s' (assumed registered, +%.1f ns)",
-            g.node(p).name.c_str(), arrival));
-      } else {
-        switch (src->kind) {
-          case Source::Kind::Constant:
-            prov.push_back(util::format("constant %ld hardwired to ALU%d %s port",
-                                        g.node(p).constValue, alu, side));
-            break;
-          case Source::Kind::PrimaryInput:
-            arrival = m.busNs;
-            prov.push_back(util::format("primary input '%s'",
-                                        g.node(p).name.c_str()));
-            prov.push_back(util::format(
+            g.node(p).name.c_str(), a.ns));
+    } else {
+      switch (src->kind) {
+        case Source::Kind::Constant:
+          if (path)
+            path->push_back(
+                util::format("constant %ld hardwired to ALU%d %s port",
+                             g.node(p).constValue, alu, side));
+          break;
+        case Source::Kind::PrimaryInput:
+          a.ns = m.busNs;
+          if (path) {
+            path->push_back(
+                util::format("primary input '%s'", g.node(p).name.c_str()));
+            path->push_back(util::format(
                 "bus: input line to ALU%d %s port (+%.1f ns)", alu, side,
                 m.busNs));
-            break;
-          case Source::Kind::Register:
-            arrival = m.regClkToQNs + m.busNs;
-            prov.push_back(util::format(
+          }
+          break;
+        case Source::Kind::Register:
+          a.ns = m.regClkToQNs + m.busNs;
+          if (path) {
+            path->push_back(util::format(
                 "register r%d ('%s') clk-to-q +%.1f ns at step %d start",
                 src->index, g.node(p).name.c_str(), m.regClkToQNs,
                 d.schedule.stepOf(id)));
-            prov.push_back(util::format(
+            path->push_back(util::format(
                 "bus: register r%d line to ALU%d %s port (+%.1f ns)",
                 src->index, alu, side, m.busNs));
-            break;
-          case Source::Kind::AluOut:
-            // Chained: the producer's combinational result this same step.
-            arrival = timing[p].settleNs + m.busNs;
-            depth = timing[p].chainDepth;
-            prov = timing[p].provenance;
-            prov.push_back(util::format(
+          }
+          break;
+        case Source::Kind::AluOut:
+          // Chained: the producer's combinational result this same step.
+          a.ns = timing[p].settleNs + m.busNs;
+          a.chainedFrom = p;
+          if (path)
+            path->push_back(util::format(
                 "bus: ALU%d output chained to ALU%d %s port (+%.1f ns)",
                 src->index, alu, side, m.busNs));
-            break;
-        }
-      }
-      const int levels = port ? muxLevels(port->sources.size()) : 0;
-      const double muxNs = levels * m.muxLevelNs;
-      arrival += muxNs;
-      prov.push_back(util::format(
-          "mux: ALU%d %s port (%zu input(s), %d level(s), +%.1f ns)", alu,
-          side, port ? port->sources.size() : std::size_t{1}, levels, muxNs));
-      if (!haveOperand || arrival > worstArrival) {
-        haveOperand = true;
-        worstArrival = arrival;
-        worstProv = std::move(prov);
-        worstDepth = depth;
+          break;
       }
     }
+    const int levels = port ? muxLevels(port->sources.size()) : 0;
+    const double muxNs = levels * m.muxLevelNs;
+    a.ns += muxNs;
+    if (path)
+      path->push_back(util::format(
+          "mux: ALU%d %s port (%zu input(s), %d level(s), +%.1f ns)", alu,
+          side, port ? port->sources.size() : std::size_t{1}, levels, muxNs));
+    return a;
+  }
 
-    t.totalNs = worstArrival + module.delayNs;
-    t.chainDepth = worstDepth + 1;
-    t.provenance = std::move(worstProv);
-    t.provenance.push_back(util::format(
-        "ALU%d %s computes '%s' (%s, +%.1f ns) — valid %.1f ns into the path",
-        alu, module.signature().c_str(), node.name.c_str(),
-        std::string(dfg::kindName(node.kind)).c_str(), module.delayNs,
-        t.totalNs));
+  void walkOp(NodeId id) {
+    const dfg::Node& node = g.node(id);
+    const int alu = d.aluOf.at(id);
+    OpTiming& t = timing[id];
+
+    double worstArrival = 0.0;
+    for (std::size_t i = 0; i < node.inputs.size(); ++i) {
+      const OperandArrival a = operandArrival(id, alu, i, nullptr);
+      if (t.worstOperand < 0 || a.ns > worstArrival) {
+        t.worstOperand = static_cast<int>(i);
+        worstArrival = a.ns;
+        t.chainDepth = 1 + (a.chainedFrom == dfg::kNoNode
+                                ? 0
+                                : timing[a.chainedFrom].chainDepth);
+      }
+    }
+    t.totalNs = worstArrival + moduleOf(alu).delayNs;
     // A multicycle op spends whole earlier steps; only the residue lands in
     // its final step, where chained consumers may pick the value up.
     const double earlier = (node.cycles - 1) * opts.clockNs;
     t.settleNs = std::max(0.0, t.totalNs - earlier);
+  }
+
+  /// The producer chained into `id` through the operand that sets its
+  /// arrival, or kNoNode when that operand comes from a register, an input
+  /// or a constant.
+  NodeId chainedProducer(NodeId id) const {
+    const int k = timing[id].worstOperand;
+    if (k < 0) return dfg::kNoNode;
+    return operandArrival(id, d.aluOf.at(id), static_cast<std::size_t>(k),
+                          nullptr)
+        .chainedFrom;
+  }
+
+  /// The critical path into endpoint `e`, outermost first: for each ALU of
+  /// the chain, the hops of the operand that sets its arrival and the ALU
+  /// itself, then the bus and the latching register. The chain is walked
+  /// back one producer at a time, since it can be as long as the design.
+  std::vector<std::string> endpointPath(const EndpointTiming& e) const {
+    std::vector<NodeId> chain{e.op};
+    for (NodeId p = chainedProducer(e.op); p != dfg::kNoNode;
+         p = chainedProducer(p))
+      chain.push_back(p);
+
+    const DelayModel& m = kDelayModel;
+    std::vector<std::string> path;
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      const dfg::Node& node = g.node(*it);
+      const OpTiming& t = timing[*it];
+      const int alu = d.aluOf.at(*it);
+      if (t.worstOperand >= 0)
+        operandArrival(*it, alu, static_cast<std::size_t>(t.worstOperand),
+                       &path);
+      const celllib::Module& module = moduleOf(alu);
+      path.push_back(util::format(
+          "ALU%d %s computes '%s' (%s, +%.1f ns) — valid %.1f ns into the "
+          "path",
+          alu, module.signature().c_str(), node.name.c_str(),
+          std::string(dfg::kindName(node.kind)).c_str(), module.delayNs,
+          t.totalNs));
+    }
+    const auto reg = d.regOfSignal.find(e.op);
+    if (reg != d.regOfSignal.end())
+      path.push_back(util::format("bus: ALU%d output to register r%d (+%.1f ns)",
+                                  e.alu, reg->second, m.busNs));
+    else
+      path.push_back(util::format(
+          "bus: ALU%d output to output port (+%.1f ns)", e.alu, m.busNs));
+    path.push_back(util::format(
+        "register %s latches '%s' at end of step %d (setup +%.1f ns) — "
+        "arrival %.1f ns vs %.1f ns budget",
+        reg != d.regOfSignal.end() ? util::format("r%d", reg->second).c_str()
+                                   : "out",
+        g.node(e.op).name.c_str(), e.step, m.setupNs, e.arrivalNs,
+        e.requiredNs));
+    trace::bump(trace::Counter::StaPathLines, path.size());
+    return path;
   }
 };
 
@@ -183,7 +254,7 @@ TimingReport analyzeTiming(const rtl::Datapath& d, const TimingOptions& opts) {
       walker.walkOp(id);
 
   const DelayModel& m = kDelayModel;
-  bool haveWorst = false;
+  std::size_t worst = 0;
   for (NodeId id = 0; id < g.size(); ++id) {
     const dfg::Node& node = g.node(id);
     if (!dfg::isSchedulable(node.kind) || !d.aluOf.count(id)) continue;
@@ -200,30 +271,18 @@ TimingReport analyzeTiming(const rtl::Datapath& d, const TimingOptions& opts) {
     e.requiredNs = node.cycles * opts.clockNs;
     e.arrivalNs = t.totalNs + m.busNs + m.setupNs;
     e.slackNs = e.requiredNs - e.arrivalNs;
-    e.provenance = t.provenance;
-    const int destReg = d.regOfSignal.count(id) ? d.regOfSignal.at(id) : -1;
-    if (destReg >= 0)
-      e.provenance.push_back(util::format(
-          "bus: ALU%d output to register r%d (+%.1f ns)", e.alu, destReg,
-          m.busNs));
-    else
-      e.provenance.push_back(util::format(
-          "bus: ALU%d output to output port (+%.1f ns)", e.alu, m.busNs));
-    e.provenance.push_back(util::format(
-        "register %s latches '%s' at end of step %d (setup +%.1f ns) — "
-        "arrival %.1f ns vs %.1f ns budget",
-        destReg >= 0 ? util::format("r%d", destReg).c_str() : "out",
-        node.name.c_str(), e.step, m.setupNs, e.arrivalNs, e.requiredNs));
 
     r.maxChainDepth = std::max(r.maxChainDepth, e.chainDepth);
-    if (!haveWorst || e.slackNs < r.worstSlackNs) {
-      haveWorst = true;
+    if (r.worstOp == dfg::kNoNode || e.slackNs < r.worstSlackNs) {
       r.worstSlackNs = e.slackNs;
       r.worstOp = id;
+      worst = r.endpoints.size();
     }
     trace::bump(trace::Counter::StaEndpoints);
-    r.endpoints.push_back(std::move(e));
+    r.endpoints.push_back(e);
   }
+  if (r.worstOp != dfg::kNoNode)
+    r.criticalPath = walker.endpointPath(r.endpoints[worst]);
 
   // Diagnostics, in endpoint order.
   auto timDiag = [&](std::string_view rule, const EndpointTiming& e,
@@ -236,7 +295,7 @@ TimingReport analyzeTiming(const rtl::Datapath& d, const TimingOptions& opts) {
     diag.loc.step = e.step;
     diag.loc.unit = e.alu;
     diag.message = std::move(message);
-    diag.provenance = e.provenance;
+    diag.provenance = walker.endpointPath(e);
     return diag;
   };
 
@@ -306,10 +365,7 @@ std::string TimingReport::toString(const dfg::Dfg& g) const {
                         e.requiredNs, e.slackNs, e.chainDepth);
   if (worstOp != dfg::kNoNode) {
     out += "critical path:\n";
-    for (const EndpointTiming& e : endpoints)
-      if (e.op == worstOp)
-        for (const std::string& line : e.provenance)
-          out += "  via: " + line + "\n";
+    for (const std::string& line : criticalPath) out += "  via: " + line + "\n";
   }
   return out;
 }

@@ -9,8 +9,9 @@
 // assumption), across the line to the next consumer — chained consumers
 // extend the same combinational path — and finally into the destination
 // register (setup). Every register-latched endpoint gets a slack against
-// the clock period, with the full mux → ALU → bus → register provenance of
-// its critical path:
+// the clock period. The walk computes numbers only; the full mux → ALU →
+// bus → register provenance is formatted for the worst endpoint and for
+// each finding:
 //
 //   TIM001  single-cycle register-to-register path exceeds the clock period
 //   TIM002  chained combinational path with no --clock constraint to audit
@@ -58,9 +59,6 @@ struct EndpointTiming {
   double slackNs = 0;   ///< requiredNs - arrivalNs
   int chainDepth = 1;   ///< ALUs traversed combinationally on the worst path
   bool latched = false; ///< result is stored in a register
-  /// Critical path, outermost first: source register/input, bus hops, mux
-  /// trees, ALUs, destination register.
-  std::vector<std::string> provenance;
 };
 
 struct TimingReport {
@@ -69,6 +67,10 @@ struct TimingReport {
   std::vector<EndpointTiming> endpoints;  ///< latched endpoints, by op id
   double worstSlackNs = 0;
   dfg::NodeId worstOp = dfg::kNoNode;     ///< endpoint with the worst slack
+  /// worstOp's path, outermost first: source register/input, bus hops, mux
+  /// trees, ALUs, destination register. Each TIM diagnostic carries its own
+  /// endpoint's path as provenance.
+  std::vector<std::string> criticalPath;
   int maxChainDepth = 1;
   LintReport diagnostics;                 ///< the TIM findings
 

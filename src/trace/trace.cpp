@@ -49,6 +49,7 @@ std::string_view counterName(Counter c) {
     case Counter::DfgFreezes: return "dfg.freezes";
     case Counter::DfgCsrEdges: return "dfg.csrEdges";
     case Counter::VerifyCells: return "verify.cells";
+    case Counter::StaPathLines: return "sta.pathLines";
     case Counter::kCount: break;
   }
   return "?";

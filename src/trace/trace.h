@@ -61,6 +61,7 @@ enum class Counter : int {
   DfgFreezes,             ///< Dfg::freeze index builds
   DfgCsrEdges,            ///< CSR edges laid out across all freezes
   VerifyCells,            ///< cells + same-cell pairs of the occupancy sweep
+  StaPathLines,           ///< timing path lines formatted for reported paths
   kCount
 };
 

@@ -7,19 +7,24 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/analyze.h"
 #include "analysis/dataflow/engine.h"
 #include "analysis/rtl_rules.h"
 #include "analysis/sched_rules.h"
+#include "analysis/timing/sta.h"
 #include "celllib/ncr_like.h"
 #include "core/frames.h"
 #include "core/grid.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "dfg/builder.h"
+#include "dfg/parser.h"
 #include "dfg/transforms.h"
 #include "explore/explore.h"
 #include "helpers.h"
@@ -220,6 +225,68 @@ TEST(Scale, VerifyCellsGrowLinearlyInN) {
     EXPECT_LE(cells[1], cells[0] * 22 / 10) << "topology " << static_cast<int>(topo);
     EXPECT_GE(cells[1], cells[0]) << "topology " << static_cast<int>(topo);
   }
+}
+
+// ---------------------------------------------------------------------------
+// STA times every endpoint but formats a path only where one is reported:
+// the worst endpoint's critical path and each TIM finding's provenance. So
+// sta.endpoints grows with N while sta.pathLines stays one path long.
+
+TEST(Scale, StaFormatsOnlyReportedPaths) {
+  const CounterScope counters;
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  for (const auto topo : {workloads::DfgTopology::Conv,
+                          workloads::DfgTopology::Lstm,
+                          workloads::DfgTopology::Transformer}) {
+    std::uint64_t endpoints[2];
+    const int sizes[2] = {5000, 10000};
+    for (int i = 0; i < 2; ++i) {
+      workloads::RandomDfgOptions opt;
+      opt.topology = topo;
+      opt.numOps = sizes[i];
+      opt.layerWidth = 64;
+      opt.seed = 7;
+      const dfg::Dfg g = workloads::randomDfg(opt);
+      core::MfsaOptions mo;
+      mo.constraints.timeSteps =
+          sched::computeTimeFrames(g, mo.constraints)->criticalSteps();
+      const core::MfsaResult r = core::runMfsa(g, lib, mo);
+      ASSERT_TRUE(r.feasible) << r.error;
+      const std::uint64_t e0 = counter(trace::Counter::StaEndpoints);
+      const std::uint64_t l0 = counter(trace::Counter::StaPathLines);
+      const auto sta = analysis::timing::analyzeTiming(r.datapath);
+      endpoints[i] = counter(trace::Counter::StaEndpoints) - e0;
+      EXPECT_TRUE(sta.diagnostics.empty()) << sta.diagnostics.renderText();
+      EXPECT_FALSE(sta.criticalPath.empty());
+      EXPECT_EQ(counter(trace::Counter::StaPathLines) - l0,
+                sta.criticalPath.size())
+          << "topology " << static_cast<int>(topo) << ", " << sizes[i]
+          << " ops";
+    }
+    EXPECT_LE(endpoints[1], endpoints[0] * 22 / 10) << "topology " << static_cast<int>(topo);
+    EXPECT_GE(endpoints[1], endpoints[0]) << "topology " << static_cast<int>(topo);
+  }
+
+  // slowchain under `--steps 1 --chaining --clock 100`: TIM001 carries the
+  // path as provenance, formatted once more for the finding.
+  std::ifstream in(std::string(MFRAME_TESTS_DIR) +
+                   "/../tools/designs/slowchain.dfg");
+  std::stringstream text;
+  text << in.rdbuf();
+  const dfg::Dfg slow = dfg::parse(text.str());
+  analysis::AnalyzeOptions ao;
+  ao.steps = 1;
+  ao.constraints.allowChaining = true;
+  ao.constraints.clockNs = 100.0;
+  ao.clockSet = true;
+  const std::uint64_t l0 = counter(trace::Counter::StaPathLines);
+  const analysis::AnalyzeResult r = analysis::analyzeDesign(slow, lib, ao);
+  ASSERT_TRUE(r.timingRan) << r.timingSkip;
+  ASSERT_FALSE(r.timing.diagnostics.empty());
+  std::size_t lines = r.timing.criticalPath.size();
+  for (const analysis::Diagnostic& d : r.timing.diagnostics.diagnostics())
+    lines += d.provenance.size();
+  EXPECT_EQ(counter(trace::Counter::StaPathLines) - l0, lines);
 }
 
 // ---------------------------------------------------------------------------
