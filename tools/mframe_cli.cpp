@@ -869,9 +869,10 @@ std::optional<analysis::BoundDesign> bindOrSynthesize(
 }
 
 /// Synthesize (or load a .bind design) and run the translation validator.
-/// The reference-free audit runs first as a fast path: audit errors are
-/// structural defects symbolic execution would only rediscover more slowly
-/// (or miss entirely), so they short-circuit the prover.
+/// The reference-free audit and then the datapath lint run first as fast
+/// paths: their errors are structural defects symbolic execution would only
+/// rediscover more slowly (or miss entirely, like two ops overlapping on one
+/// ALU), so they short-circuit the prover.
 int runProve(const Cli& cli, const dfg::Dfg& g) {
   const celllib::CellLibrary lib = loadLibrary(cli);
   analysis::LintReport report;
@@ -891,6 +892,11 @@ int runProve(const Cli& cli, const dfg::Dfg& g) {
     if (audit.report.hasErrors()) {
       how += " (audit fast path)";
       report = audit.report;
+    } else if (analysis::LintReport lint = analysis::lintDatapath(
+                   bound->datapath, cli.constraints, cli.style);
+               lint.hasErrors()) {
+      how += " (lint fast path)";
+      report = std::move(lint);
     } else {
       report =
           analysis::proveDatapath(bound->datapath, bound->fsm, bound->rom);
