@@ -7,6 +7,7 @@
 #include "core/grid.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
+#include "util/strings.h"
 
 namespace mframe::baseline {
 
@@ -86,7 +87,17 @@ ListSchedResult runListScheduling(const dfg::Dfg& g, const sched::Constraints& c
     }
   }
   if (placed < ops.size()) {
-    res.error = "list scheduling did not converge";
+    // Ids are topological, so every predecessor of the first unplaced op was
+    // placed: the op itself found no free cell in any step.
+    const NodeId stuck = *std::find_if(
+        ops.begin(), ops.end(), [&](NodeId id) { return !s.isPlaced(id); });
+    const FuType type = dfg::fuTypeOf(g.kindOf(stuck));
+    const std::string name(dfg::fuTypeName(type));
+    res.error = util::format(
+        "'%s' (%s) found no free unit in %d steps: the %s budget is %d at "
+        "latency %d",
+        g.node(stuck).name.c_str(), name.c_str(), maxSteps, name.c_str(),
+        limitOf(type), c.latency);
     return res;
   }
 
