@@ -11,9 +11,11 @@
 #include <utility>
 
 #include "analysis/analyze.h"
+#include "analysis/timing/sta.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
+#include "rtl/datapath.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
 #include "workloads/random_dfg.h"
@@ -121,6 +123,36 @@ BENCHMARK(BM_ScaleAnalyze)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
+
+// STA alone over the MFSA datapath at the critical path, built once per
+// size outside the timed loop: the timing walk over every endpoint plus the
+// one critical path it formats (no clock, so no finding).
+void BM_ScaleSta(benchmark::State& state) {
+  static const celllib::CellLibrary lib = celllib::ncrLike();
+  static std::map<int, rtl::Datapath> datapaths;
+  const int ops = static_cast<int>(state.range(0));
+  auto it = datapaths.find(ops);
+  if (it == datapaths.end()) {
+    const dfg::Dfg& g = cachedGraph(workloads::DfgTopology::Conv, ops);
+    core::MfsaOptions o;
+    sched::Constraints probe;
+    o.constraints.timeSteps =
+        sched::computeTimeFrames(g, probe)->criticalSteps();
+    o.traceLiapunov = false;
+    core::MfsaResult r = core::runMfsa(g, lib, o);
+    if (!r.feasible) {
+      state.SkipWithError(r.error.c_str());
+      return;
+    }
+    it = datapaths.emplace(ops, std::move(r.datapath)).first;
+  }
+  for (auto _ : state) {
+    const auto t = analysis::timing::analyzeTiming(it->second);
+    benchmark::DoNotOptimize(t.worstSlackNs);
+  }
+  state.counters["ops"] = ops;
+}
+BENCHMARK(BM_ScaleSta)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

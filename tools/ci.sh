@@ -85,14 +85,17 @@ echo "==== interval, dataflow, range, infeasibility and controller-reader checks
   --gtest_brief=1
 
 # Scale smoke in the plain tree: a 100k-op random DFG through the full
-# synth and analyze pipelines must stay in single-digit seconds (ISSUE-10
+# synth and analyze pipelines, and through synth with every checker (prove,
+# audit, range, STA), must stay in single-digit seconds (ISSUE-10
 # acceptance bound; `timeout` turns a quadratic regression into a hard
 # failure instead of a hung CI run).
-echo "==== 100k-op synth + analyze smoke (plain tree)"
+echo "==== 100k-op synth + analyze + checkers smoke (plain tree)"
 timeout 120 "$repo/build-ci/tools/mframe" synth \
   random:conv,ops=100000,width=64 --metrics > /dev/null
 timeout 120 "$repo/build-ci/tools/mframe" analyze \
   random:conv,ops=100000,width=64 > /dev/null
+timeout 120 "$repo/build-ci/tools/mframe" synth \
+  random:conv,ops=100000,width=64 --prove --audit --range --timing > /dev/null
 
 # And a 10k-op pass under ASan/UBSan, where redzones would make 100k crawl.
 echo "==== 10k-op synth smoke under ASan/UBSan"
