@@ -209,18 +209,19 @@ struct Walker {
           std::string(dfg::kindName(node.kind)).c_str(), module.delayNs,
           t.totalNs));
     }
-    const auto reg = d.regOfSignal.find(e.op);
-    if (reg != d.regOfSignal.end())
-      path.push_back(util::format("bus: ALU%d output to register r%d (+%.1f ns)",
-                                  e.alu, reg->second, m.busNs));
+    const int destReg =
+        d.regOfSignal.count(e.op) ? d.regOfSignal.at(e.op) : -1;
+    if (destReg >= 0)
+      path.push_back(util::format(
+          "bus: ALU%d output to register r%d (+%.1f ns)", e.alu, destReg,
+          m.busNs));
     else
       path.push_back(util::format(
           "bus: ALU%d output to output port (+%.1f ns)", e.alu, m.busNs));
     path.push_back(util::format(
         "register %s latches '%s' at end of step %d (setup +%.1f ns) — "
         "arrival %.1f ns vs %.1f ns budget",
-        reg != d.regOfSignal.end() ? util::format("r%d", reg->second).c_str()
-                                   : "out",
+        destReg >= 0 ? util::format("r%d", destReg).c_str() : "out",
         g.node(e.op).name.c_str(), e.step, m.setupNs, e.arrivalNs,
         e.requiredNs));
     trace::bump(trace::Counter::StaPathLines, path.size());
@@ -279,7 +280,7 @@ TimingReport analyzeTiming(const rtl::Datapath& d, const TimingOptions& opts) {
       worst = r.endpoints.size();
     }
     trace::bump(trace::Counter::StaEndpoints);
-    r.endpoints.push_back(e);
+    r.endpoints.push_back(std::move(e));
   }
   if (r.worstOp != dfg::kNoNode)
     r.criticalPath = walker.endpointPath(r.endpoints[worst]);
