@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "dfg/builder.h"
@@ -10,6 +12,14 @@
 #include "trace/trace.h"
 
 namespace mframe::test {
+
+/// The whole text of `path` ("" when it cannot be read).
+inline std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
 
 /// Counters are off by default (bump() is a no-op); flip them on for a
 /// test's counter assertions and restore the previous state on exit.

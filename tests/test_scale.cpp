@@ -7,8 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -269,11 +267,8 @@ TEST(Scale, StaFormatsOnlyReportedPaths) {
 
   // slowchain under `--steps 1 --chaining --clock 100`: TIM001 carries the
   // path as provenance, formatted once more for the finding.
-  std::ifstream in(std::string(MFRAME_TESTS_DIR) +
-                   "/../tools/designs/slowchain.dfg");
-  std::stringstream text;
-  text << in.rdbuf();
-  const dfg::Dfg slow = dfg::parse(text.str());
+  const dfg::Dfg slow = dfg::parse(test::readFile(
+      std::string(MFRAME_TESTS_DIR) + "/../tools/designs/slowchain.dfg"));
   analysis::AnalyzeOptions ao;
   ao.steps = 1;
   ao.constraints.allowChaining = true;

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <set>
-#include <sstream>
 
 #include "analysis/analyze.h"
 #include "analysis/rules.h"
@@ -16,12 +15,15 @@
 #include "core/mfs.h"
 #include "dfg/builder.h"
 #include "dfg/parser.h"
+#include "helpers.h"
 #include "rtl/datapath.h"
 #include "sched/timeframes.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::analysis::timing {
 namespace {
+
+using test::readFile;
 
 const celllib::CellLibrary& lib() {
   static const celllib::CellLibrary l = celllib::ncrLike();
@@ -308,13 +310,6 @@ std::string timingGoldenText(const TimingGoldenCase& gc) {
                     : sched::computeTimeFrames(gc.graph, c)->criticalSteps();
   const TimingReport r = analyzeAt(gc.graph, c, gc.clockNs, gc.clockSet);
   return r.toString(gc.graph) + r.diagnostics.renderText();
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 TEST(TimingGolden, ReportsMatchCommittedText) {
