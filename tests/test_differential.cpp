@@ -6,14 +6,23 @@
 // change leaked into the paper-scale path. The counters measure the search's
 // work, so a change to how move frames are searched moves only them.
 //
+// A second golden pins MFSA above kMfsaGreedyThreshold, where it prices
+// mux deltas by greedy append and widens column budgets in place: seeded
+// 3,000-op random designs of each topology, plain and chained, recorded as
+// an FNV-1a digest of every op's step and ALU plus the run's summary lines.
+//
 // Regenerate (only for an acknowledged algorithm change) with
 // MFRAME_UPDATE_GOLDEN=1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "celllib/ncr_like.h"
@@ -23,6 +32,7 @@
 #include "trace/trace.h"
 #include "util/strings.h"
 #include "workloads/benchmarks.h"
+#include "workloads/random_dfg.h"
 
 namespace mframe {
 namespace {
@@ -40,13 +50,14 @@ std::vector<dfg::Dfg> suite() {
   return out;
 }
 
-/// The engine counters the differential contract pins exactly.
-std::string counterBlock() {
+/// The engine counters whose names start with one of `prefixes`.
+std::string counterBlock(std::initializer_list<const char*> prefixes = {
+                             "mfsa.", "liapunov.", "mux."}) {
   std::string out;
   for (const auto& [name, value] : trace::counterSnapshot()) {
-    const bool pinned = name.rfind("mfsa.", 0) == 0 ||
-                        name.rfind("liapunov.", 0) == 0 ||
-                        name.rfind("mux.", 0) == 0;
+    const bool pinned =
+        std::any_of(prefixes.begin(), prefixes.end(),
+                    [&](const char* p) { return name.rfind(p, 0) == 0; });
     if (pinned)
       out += util::format("  %s = %llu\n", std::string(name).c_str(),
                           static_cast<unsigned long long>(value));
@@ -118,8 +129,96 @@ std::string renderBenchmark(const dfg::Dfg& g) {
   return out;
 }
 
+/// 64-bit FNV-1a.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char ch : text) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One MFSA run on a greedy-sized design at critical path + 1: the summary
+/// lines, the mfsa.* counters and a digest of every op's `name step ALU`.
+std::string renderGreedyRun(const dfg::Dfg& g, const sched::Constraints& base,
+                            const std::string& label) {
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  core::MfsaOptions o;
+  o.constraints = base;
+  std::string tfError;
+  const auto tf = sched::computeTimeFrames(g, o.constraints, &tfError);
+  EXPECT_TRUE(tf.has_value()) << label << ": " << tfError;
+  if (!tf) return {};
+  o.constraints.timeSteps = tf->criticalSteps() + 1;
+  trace::resetCounters();
+  const auto r = runMfsa(g, lib, o);
+  EXPECT_TRUE(r.feasible) << label << ": " << r.error;
+  const sched::Schedule& s = r.datapath.schedule;
+  std::string listing;
+  for (dfg::NodeId id : g.operations())
+    listing += util::format("%s %d %d\n", g.node(id).name.c_str(),
+                            s.stepOf(id), s.columnOf(id));
+  std::string out = "== " + label + " ==\n";
+  out += util::format("steps %d restarts %d\n", r.steps, r.restarts);
+  out += "alus: " + r.datapath.aluSummary() + "\n";
+  out += util::format("cost alu %.3f reg %.3f mux %.3f total %.3f\n",
+                      r.cost.aluArea, r.cost.regArea, r.cost.muxArea,
+                      r.cost.total);
+  out += counterBlock({"mfsa."});
+  out += util::format("placement fnv1a %016llx\n",
+                      static_cast<unsigned long long>(fnv1a(listing)));
+  return out;
+}
+
+std::string renderGreedySuite() {
+  std::string out;
+  const std::pair<workloads::DfgTopology, const char*> topologies[] = {
+      {workloads::DfgTopology::Conv, "conv"},
+      {workloads::DfgTopology::Lstm, "lstm"},
+      {workloads::DfgTopology::Transformer, "transformer"},
+      {workloads::DfgTopology::Layered, "layered"}};
+  std::uint32_t seed = 0;
+  for (const auto& [topology, name] : topologies) {
+    workloads::RandomDfgOptions ro;
+    ro.topology = topology;
+    ro.seed = ++seed;
+    ro.numOps = 3000;
+    ro.layerWidth = 64;
+    ro.numInputs = 8;
+    const dfg::Dfg g = workloads::randomDfg(ro);
+    EXPECT_GE(g.size(), core::kMfsaGreedyThreshold) << name;
+    const std::string design =
+        util::format("random:%s,ops=3000,width=64,inputs=8,seed=%u", name, seed);
+    out += renderGreedyRun(g, {}, design);
+    sched::Constraints chained;
+    chained.allowChaining = true;
+    chained.clockNs = 200.0;
+    out += renderGreedyRun(g, chained, design + " chaining clock 200");
+  }
+  return out;
+}
+
 std::string goldenPath(const std::string& name) {
   return std::string(MFRAME_TESTS_DIR) + "/golden/sched_" + name + ".txt";
+}
+
+/// Compare `text` with the golden file at `path`, or rewrite the file under
+/// MFRAME_UPDATE_GOLDEN=1.
+void checkGolden(const std::string& path, const std::string& text,
+                 const std::string& what) {
+  if (std::getenv("MFRAME_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << path;
+    out << text;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden " << path
+                         << " (regenerate with MFRAME_UPDATE_GOLDEN=1)";
+  std::stringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(text, ss.str()) << what;
 }
 
 TEST(DifferentialGolden, RenderIsDeterministic) {
@@ -132,24 +231,16 @@ TEST(DifferentialGolden, RenderIsDeterministic) {
 }
 
 TEST(DifferentialGolden, BenchmarksMatchCommittedSchedules) {
-  const bool update = std::getenv("MFRAME_UPDATE_GOLDEN") != nullptr;
   trace::enableCounters(true);
-  for (const dfg::Dfg& g : suite()) {
-    const std::string text = renderBenchmark(g);
-    const std::string path = goldenPath(g.name());
-    if (update) {
-      std::ofstream out(path);
-      ASSERT_TRUE(out.good()) << path;
-      out << text;
-      continue;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing golden " << path
-                           << " (regenerate with MFRAME_UPDATE_GOLDEN=1)";
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_EQ(text, ss.str()) << g.name();
-  }
+  for (const dfg::Dfg& g : suite())
+    checkGolden(goldenPath(g.name()), renderBenchmark(g), g.name());
+  trace::enableCounters(false);
+}
+
+TEST(DifferentialGolden, GreedyMfsaMatchesCommittedDigests) {
+  trace::enableCounters(true);
+  checkGolden(std::string(MFRAME_TESTS_DIR) + "/golden/mfsa_greedy.txt",
+              renderGreedySuite(), "greedy MFSA");
   trace::enableCounters(false);
 }
 
