@@ -8,13 +8,16 @@ namespace mframe::alloc {
 
 namespace {
 
-bool contains(const std::unordered_set<dfg::NodeId>& s, dfg::NodeId x) {
-  return s.find(x) != s.end();
+bool contains(const std::vector<bool>& s, dfg::NodeId x) {
+  return x < s.size() && s[x];
 }
 
-void addUnique(std::vector<dfg::NodeId>& v, std::unordered_set<dfg::NodeId>& s,
+void addUnique(std::vector<dfg::NodeId>& v, std::vector<bool>& s,
                dfg::NodeId x) {
-  if (s.insert(x).second) v.push_back(x);
+  if (contains(s, x)) return;
+  if (x >= s.size()) s.resize(x + 1);
+  s[x] = true;
+  v.push_back(x);
 }
 
 bool isCommutativePair(const dfg::Node& n) {

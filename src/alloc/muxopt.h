@@ -8,7 +8,6 @@
 #pragma once
 
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "celllib/cell_library.h"
@@ -28,9 +27,12 @@ struct MuxArrangement {
 
   /// Membership indexes mirroring the four lists above, maintained by
   /// arrangeInputs/appendToArrangement so the hot delta/append paths test
-  /// port membership in O(1) instead of scanning the vectors.
-  std::unordered_set<dfg::NodeId> leftSet, rightSet;
-  std::unordered_set<dfg::NodeId> pinnedLeftSet, pinnedRightSet;
+  /// port membership in O(1) instead of scanning the vectors. Each is a
+  /// bit vector indexed by NodeId (bit set = the signal is on that list),
+  /// sized to the largest member: one bit per node keeps an ALU's four
+  /// indexes small next to its port lists even on 10^5-op graphs.
+  std::vector<bool> leftSet, rightSet;
+  std::vector<bool> pinnedLeftSet, pinnedRightSet;
 
   std::size_t totalInputs() const { return left.size() + right.size(); }
 

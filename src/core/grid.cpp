@@ -18,16 +18,16 @@ void ColumnOccupancy::ensureNode(dfg::NodeId n) {
   if (n >= whereCol_.size()) whereCol_.resize(n + 1, 0);
 }
 
-std::vector<std::uint64_t> ColumnOccupancy::cellsFor(dfg::NodeId n, int col,
-                                                     int step) const {
-  std::vector<std::uint64_t> cells;
+std::vector<int> ColumnOccupancy::cellsFor(dfg::NodeId n, int col,
+                                           int step) const {
+  std::vector<int> cells;
   if (isPipelined(col)) {
     // One initiation per (folded) step; later stages overlap freely.
-    cells.push_back(key(col, fold(step)));
+    cells.push_back(fold(step));
   } else {
     const int cycles = g_->cyclesOf(n);
     cells.reserve(static_cast<std::size_t>(cycles));
-    for (int s = step; s < step + cycles; ++s) cells.push_back(key(col, fold(s)));
+    for (int s = step; s < step + cycles; ++s) cells.push_back(fold(s));
   }
   // Folding can alias several steps of one multicycle op onto one cell.
   std::sort(cells.begin(), cells.end());
@@ -35,34 +35,44 @@ std::vector<std::uint64_t> ColumnOccupancy::cellsFor(dfg::NodeId n, int col,
   return cells;
 }
 
+bool ColumnOccupancy::cellFree(dfg::NodeId n, int col, int folded) const {
+  const auto c = static_cast<std::size_t>(col);
+  const auto f = static_cast<std::size_t>(folded);
+  if (c >= cells_.size() || f >= cells_[c].size()) return true;
+  for (dfg::NodeId other : cells_[c][f]) {
+    if (other == n) continue;
+    if (!g_->mutuallyExclusive(n, other)) return false;
+  }
+  return true;
+}
+
 bool ColumnOccupancy::canPlace(dfg::NodeId n, int col, int step) const {
-  auto cellFree = [&](std::uint64_t k) {
-    const auto it = cell_.find(k);
-    if (it == cell_.end()) return true;
-    for (dfg::NodeId other : it->second) {
-      if (other == n) continue;
-      if (!g_->mutuallyExclusive(n, other)) return false;
-    }
-    return true;
-  };
   if (plainCells(col)) {
-    // No folding, no pipelining: the keys are distinct consecutive steps —
-    // probe them directly without materializing a key list.
+    // No folding, no pipelining: the cells are distinct consecutive steps —
+    // probe them directly without materializing a cell list.
     const int cycles = g_->cyclesOf(n);
     for (int s = step; s < step + cycles; ++s)
-      if (!cellFree(key(col, s))) return false;
+      if (!cellFree(n, col, s)) return false;
     return true;
   }
   if (overlapsOwnInitiation(g_->cyclesOf(n), latency_, isPipelined(col)))
     return false;
-  for (std::uint64_t k : cellsFor(n, col, step))
-    if (!cellFree(k)) return false;
+  for (int f : cellsFor(n, col, step))
+    if (!cellFree(n, col, f)) return false;
   return true;
 }
 
 void ColumnOccupancy::place(dfg::NodeId n, int col, int step) {
-  assert(!isPlaced(n));
-  for (std::uint64_t k : cellsFor(n, col, step)) cell_[k].push_back(n);
+  assert(!isPlaced(n) && col >= 0);
+  const auto c = static_cast<std::size_t>(col);
+  if (c >= cells_.size()) cells_.resize(c + 1);
+  std::vector<Cell>& column = cells_[c];
+  for (int f : cellsFor(n, col, step)) {
+    assert(f >= 0);
+    const auto i = static_cast<std::size_t>(f);
+    if (i >= column.size()) column.resize(i + 1);
+    column[i].push_back(n);
+  }
   ensureNode(n);
   whereCol_[n] = col;
 }

@@ -13,19 +13,18 @@
 //    "operations scheduled into control step t + k*L run concurrently"
 //    (Section 5.5.2).
 //
-// Storage is flat: cells are keyed by a packed (column, folded step) word in
-// a hash map, per-node placements live in id-indexed arrays, and the
-// pipelined flag is a per-column bit — the schedulers probe canPlace()
-// millions of times on large graphs and the old std::map-of-pairs layout
-// spent the run chasing red-black-tree pointers.
+// Storage is dense: each column keeps an array of cells indexed by folded
+// step, each cell the list of ops sitting there; per-node placements live
+// in id-indexed arrays, and the pipelined flag is a per-column bit. The
+// schedulers probe canPlace() millions of times on large graphs, so a probe
+// is two array reads and an emptiness test — no key hashing and no tree
+// walk. Both dimensions grow on demand as ops are placed.
 //
 // MFS and the ASAP, list and FDS baselines compose one ColumnOccupancy per
 // FU type (class Grid); MFSA reuses ColumnOccupancy with one column per
 // allocated ALU instance.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "dfg/dfg.h"
@@ -65,22 +64,23 @@ class ColumnOccupancy {
   }
 
  private:
-  static std::uint64_t key(int col, int foldedStep) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(col)) << 32) |
-           static_cast<std::uint32_t>(foldedStep);
-  }
-  /// Cell keys this op occupies if started at `step` on `col`.
-  std::vector<std::uint64_t> cellsFor(dfg::NodeId n, int col, int step) const;
+  /// The ops occupying one (column, folded step) cell.
+  using Cell = std::vector<dfg::NodeId>;
+
+  /// Folded steps this op occupies if started at `step` on `col`.
+  std::vector<int> cellsFor(dfg::NodeId n, int col, int step) const;
+  /// Whether `n` may share cell (col, folded) with every op already there.
+  bool cellFree(dfg::NodeId n, int col, int folded) const;
   int fold(int step) const { return latency_ > 0 ? (step - 1) % latency_ : step; }
   /// True when the op's cells are (col, step)..(col, step+cycles-1) with no
-  /// folding aliasing — the hot case that needs no materialized key list.
+  /// folding aliasing — the hot case that needs no materialized cell list.
   bool plainCells(int col) const { return latency_ <= 0 && !isPipelined(col); }
   void ensureNode(dfg::NodeId n);
 
   const dfg::Dfg* g_;
   int latency_;
-  std::vector<char> pipelined_;                              ///< by column
-  std::unordered_map<std::uint64_t, std::vector<dfg::NodeId>> cell_;
+  std::vector<char> pipelined_;             ///< by column
+  std::vector<std::vector<Cell>> cells_;    ///< [column][folded step]
   std::vector<int> whereCol_;   ///< by node; 0 = not placed
 };
 

@@ -246,40 +246,40 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
       // One dependency window per op serves every candidate ALU.
       const auto dw = fc.depWindow(s, id);
 
+      // f_MUX of `id` on `owner` (nullptr = a fresh ALU): the mux-cost delta
+      // under the best arrangement. It does not depend on the step. For an
+      // existing ALU the delta is taken against its cached arrangement:
+      // exact on small graphs, and the O(1) greedy append that the commit
+      // below performs on large ones.
+      auto muxTerm = [&](const AluState* owner) {
+        if (owner == nullptr) return freshMux;
+        const auto d =
+            greedy ? alloc::appendDelta(g, owner->arrangement, id)
+                   : alloc::arrangeInputsDelta(g, owner->arrangement,
+                                               owner->ops, id);
+        return lib.muxCost(static_cast<int>(d.left)) +
+               lib.muxCost(static_cast<int>(d.right)) - owner->muxCost;
+      };
+
       auto pushSteps = [&](AluState* owner, celllib::ModuleId module,
                            double fAlu) {
-        // Interconnect term: mux-cost delta under the best arrangement, or
-        // the bus-cost delta when building a bus architecture. The mux delta
-        // is step-independent; the bus delta depends on the chosen step.
-        // For an existing ALU the delta is taken against its cached
-        // arrangement: exact on small graphs, and the O(1) greedy append
-        // that the commit below performs on large ones.
+        // Interconnect term: the mux delta, priced once at the ALU's first
+        // free step so an ALU with none costs no pricing, or the bus-cost
+        // delta, which depends on the chosen step.
+        const bool mux = opt.interconnect == InterconnectStyle::Mux;
         const int aluIdx = owner ? owner->index : -1;
-        double fMux = 0.0;
-        if (opt.interconnect == InterconnectStyle::Mux) {
-          if (owner == nullptr) {
-            fMux = freshMux;
-          } else {
-            const auto d =
-                greedy ? alloc::appendDelta(g, owner->arrangement, id)
-                       : alloc::arrangeInputsDelta(g, owner->arrangement,
-                                                   owner->ops, id);
-            fMux = lib.muxCost(static_cast<int>(d.left)) +
-                   lib.muxCost(static_cast<int>(d.right)) - owner->muxCost;
-          }
-        }
+        std::optional<double> fMux;
         for (int step = dw.firstStep(tf->asap(id), tf->alap(id)); step != 0;
              step = dw.nextStep(step, tf->alap(id))) {
           if (aluIdx >= 0 && !occ.canPlace(id, aluIdx + 1, step)) continue;
+          if (mux && !fMux) fMux = muxTerm(owner);
           Candidate cd;
           cd.alu = aluIdx;
           cd.module = module;
           cd.step = step;
           cd.terms.fTime = C * step;
           cd.terms.fAlu = fAlu;
-          cd.terms.fMux = opt.interconnect == InterconnectStyle::Mux
-                              ? fMux
-                              : busDelta(id, step);
+          cd.terms.fMux = mux ? *fMux : busDelta(id, step);
           cd.terms.fReg = lib.regCost() * newRegsAt(step);
           cd.f = cd.terms.weighted(opt.weights);
           cands.push_back(cd);

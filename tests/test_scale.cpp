@@ -285,6 +285,35 @@ TEST(Scale, StaFormatsOnlyReportedPaths) {
 }
 
 // ---------------------------------------------------------------------------
+// MFSA prices an existing ALU's mux delta only once its walk finds a free,
+// dependency-feasible step: an ALU with none yields no candidate and costs
+// no pricing. In greedy mode each priced ALU then yields exactly one
+// candidate, so the probes cannot outnumber the candidates.
+
+TEST(Scale, MfsaPricesOnlyPlaceableAlus) {
+  const CounterScope counters;
+  workloads::RandomDfgOptions opt;
+  opt.topology = workloads::DfgTopology::Conv;
+  opt.numOps = 3000;
+  opt.layerWidth = 64;
+  opt.numInputs = 8;
+  opt.seed = 1;
+  const dfg::Dfg g = workloads::randomDfg(opt);
+  ASSERT_GE(g.size(), core::kMfsaGreedyThreshold);
+  core::MfsaOptions mo;
+  mo.constraints.timeSteps =
+      sched::computeTimeFrames(g, mo.constraints)->criticalSteps() + 1;
+  const std::uint64_t p0 = counter(trace::Counter::MuxDeltaIncremental);
+  const std::uint64_t c0 = counter(trace::Counter::MfsaCandidates);
+  const core::MfsaResult r = core::runMfsa(g, celllib::ncrLike(), mo);
+  ASSERT_TRUE(r.feasible) << r.error;
+  const std::uint64_t probes = counter(trace::Counter::MuxDeltaIncremental) - p0;
+  const std::uint64_t candidates = counter(trace::Counter::MfsaCandidates) - c0;
+  EXPECT_GT(probes, 0u);
+  EXPECT_LE(probes, candidates);
+}
+
+// ---------------------------------------------------------------------------
 // Job-count invariance: the explorer sweeping the same design with 1 or 4
 // workers must do identical per-design work — the same schedules, the same
 // dfg.*, mfsa.* and liapunov.* counter deltas.
