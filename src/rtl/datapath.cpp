@@ -19,18 +19,14 @@ std::string Datapath::aluSummary() const {
   return util::join(parts, "; ");
 }
 
-Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
-                       const sched::Schedule& s,
-                       std::vector<AluInstance> alus) {
-  const std::vector<alloc::Lifetime> lifetimes = alloc::computeLifetimes(g, s);
-  return buildDatapath(g, lib, s, std::move(alus),
-                       alloc::allocateRegisters(lifetimes));
-}
+namespace {
 
-Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
-                       const sched::Schedule& s, std::vector<AluInstance> alus,
-                       alloc::RegAllocation regs) {
-  const trace::Span span("rtl.datapath");
+/// Both buildDatapath overloads, given the schedule's lifetimes computed
+/// once by the caller.
+Datapath assemble(const dfg::Dfg& g, const celllib::CellLibrary& lib,
+                  const sched::Schedule& s, std::vector<AluInstance> alus,
+                  std::vector<alloc::Lifetime> lifetimes,
+                  alloc::RegAllocation regs) {
   Datapath d;
   d.schedule = s;
   d.graph = d.schedule.sharedGraph();  // identical snapshot as the schedule's
@@ -40,7 +36,7 @@ Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
     for (dfg::NodeId op : a.ops) d.aluOf[op] = a.index;
 
   // Registers (Section 5.8).
-  d.lifetimes = alloc::computeLifetimes(g, s);
+  d.lifetimes = std::move(lifetimes);
   d.regs = std::move(regs);
   for (std::size_t r = 0; r < d.regs.registers.size(); ++r)
     for (std::size_t i : d.regs.registers[r])
@@ -64,6 +60,26 @@ Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
     d.rightPort.push_back(alloc::wirePort(resolver, rightReads));
   }
   return d;
+}
+
+}  // namespace
+
+Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
+                       const sched::Schedule& s,
+                       std::vector<AluInstance> alus) {
+  const trace::Span span("rtl.datapath");
+  std::vector<alloc::Lifetime> lifetimes = alloc::computeLifetimes(g, s);
+  alloc::RegAllocation regs = alloc::allocateRegisters(lifetimes);
+  return assemble(g, lib, s, std::move(alus), std::move(lifetimes),
+                  std::move(regs));
+}
+
+Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
+                       const sched::Schedule& s, std::vector<AluInstance> alus,
+                       alloc::RegAllocation regs) {
+  const trace::Span span("rtl.datapath");
+  return assemble(g, lib, s, std::move(alus), alloc::computeLifetimes(g, s),
+                  std::move(regs));
 }
 
 std::vector<AluInstance> bindByColumns(const dfg::Dfg& g,
