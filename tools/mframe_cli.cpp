@@ -46,10 +46,11 @@
 //   --fix                print the design with constants folded and dead
 //                        operations removed (diagnostics go to stderr)
 //   --no-timing          run only the dataflow passes (no synthesis)
-// prove-only:
+// prove, audit and range:
 //   --scheduler NAME     mfsa|mfs|asap|list|fds (default mfsa)
 //   --bind FILE          validate an explicit .bind design instead of
-//                        synthesizing one (see docs/FORMATS.md)
+//                        synthesizing one (see docs/FORMATS.md); every
+//                        other command refuses it
 // common output options:
 //   --dot                print Graphviz DOT of the scheduled DFG
 //   --trace FILE         write a Chrome trace-event JSON of the run
@@ -412,6 +413,10 @@ Cli parseArgs(int argc, char** argv) {
     }
     if (hasInline) dieUsage("option " + a + " does not take a value");
   }
+  if (!c.bindPath.empty() && c.command != "prove" && c.command != "audit" &&
+      c.command != "range")
+    dieUsage("--bind is read only by prove, audit and range, not by " +
+             c.command);
   return c;
 }
 
