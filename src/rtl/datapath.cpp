@@ -19,14 +19,10 @@ std::string Datapath::aluSummary() const {
   return util::join(parts, "; ");
 }
 
-namespace {
-
-/// Both buildDatapath overloads, given the schedule's lifetimes computed
-/// once by the caller.
-Datapath assemble(const dfg::Dfg& g, const celllib::CellLibrary& lib,
-                  const sched::Schedule& s, std::vector<AluInstance> alus,
-                  std::vector<alloc::Lifetime> lifetimes,
-                  alloc::RegAllocation regs) {
+Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
+                       const sched::Schedule& s, std::vector<AluInstance> alus,
+                       std::optional<alloc::RegAllocation> regs) {
+  const trace::Span span("rtl.datapath");
   Datapath d;
   d.schedule = s;
   d.graph = d.schedule.sharedGraph();  // identical snapshot as the schedule's
@@ -36,8 +32,8 @@ Datapath assemble(const dfg::Dfg& g, const celllib::CellLibrary& lib,
     for (dfg::NodeId op : a.ops) d.aluOf[op] = a.index;
 
   // Registers (Section 5.8).
-  d.lifetimes = std::move(lifetimes);
-  d.regs = std::move(regs);
+  d.lifetimes = alloc::computeLifetimes(g, s);
+  d.regs = regs ? std::move(*regs) : alloc::allocateRegisters(d.lifetimes);
   for (std::size_t r = 0; r < d.regs.registers.size(); ++r)
     for (std::size_t i : d.regs.registers[r])
       d.regOfSignal[d.lifetimes[i].producer] = static_cast<int>(r);
@@ -60,26 +56,6 @@ Datapath assemble(const dfg::Dfg& g, const celllib::CellLibrary& lib,
     d.rightPort.push_back(alloc::wirePort(resolver, rightReads));
   }
   return d;
-}
-
-}  // namespace
-
-Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
-                       const sched::Schedule& s,
-                       std::vector<AluInstance> alus) {
-  const trace::Span span("rtl.datapath");
-  std::vector<alloc::Lifetime> lifetimes = alloc::computeLifetimes(g, s);
-  alloc::RegAllocation regs = alloc::allocateRegisters(lifetimes);
-  return assemble(g, lib, s, std::move(alus), std::move(lifetimes),
-                  std::move(regs));
-}
-
-Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
-                       const sched::Schedule& s, std::vector<AluInstance> alus,
-                       alloc::RegAllocation regs) {
-  const trace::Span span("rtl.datapath");
-  return assemble(g, lib, s, std::move(alus), alloc::computeLifetimes(g, s),
-                  std::move(regs));
 }
 
 std::vector<AluInstance> bindByColumns(const dfg::Dfg& g,

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,17 +62,12 @@ struct Datapath {
 /// Assemble the full RTL structure from a schedule and an ALU binding:
 /// lifetime analysis, register allocation, mux arrangement and interconnect
 /// sharing. `alus[i].ops` must cover every schedulable operation exactly
-/// once.
-Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
-                       const sched::Schedule& s,
-                       std::vector<AluInstance> alus);
-
-/// Same, but with a caller-supplied register allocation instead of the
-/// left-edge default — externally bound designs (.bind files) pin their own
-/// register assignment, defects included.
+/// once. `regs` replaces the left-edge register allocation: externally
+/// bound designs (.bind files) pin their own register assignment, defects
+/// included.
 Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
                        const sched::Schedule& s, std::vector<AluInstance> alus,
-                       alloc::RegAllocation regs);
+                       std::optional<alloc::RegAllocation> regs = std::nullopt);
 
 /// How wide a shared line is after declaration-driven sizing: as wide as its
 /// widest declaring tenant. Width 0 means no tenant declares a `width=`
