@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
+#include "helpers.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
 #include "util/strings.h"
@@ -213,12 +213,10 @@ void checkGolden(const std::string& path, const std::string& text,
     out << text;
     return;
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden " << path
-                         << " (regenerate with MFRAME_UPDATE_GOLDEN=1)";
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(text, ss.str()) << what;
+  const std::string golden = test::readFile(path);
+  ASSERT_FALSE(golden.empty()) << "missing golden " << path
+                               << " (regenerate with MFRAME_UPDATE_GOLDEN=1)";
+  EXPECT_EQ(text, golden) << what;
 }
 
 TEST(DifferentialGolden, RenderIsDeterministic) {
