@@ -35,30 +35,29 @@ std::vector<int> ColumnOccupancy::cellsFor(dfg::NodeId n, int col,
   return cells;
 }
 
-bool ColumnOccupancy::cellFree(dfg::NodeId n, int col, int folded) const {
-  const auto c = static_cast<std::size_t>(col);
-  const auto f = static_cast<std::size_t>(folded);
-  if (c >= cells_.size() || f >= cells_[c].size()) return true;
-  for (dfg::NodeId other : cells_[c][f]) {
-    if (other == n) continue;
-    if (!g_->mutuallyExclusive(n, other)) return false;
-  }
-  return true;
-}
-
 bool ColumnOccupancy::canPlace(dfg::NodeId n, int col, int step) const {
+  const auto c = static_cast<std::size_t>(col);
+  auto cellFree = [&](int folded) {
+    const auto f = static_cast<std::size_t>(folded);
+    if (c >= cells_.size() || f >= cells_[c].size()) return true;
+    for (dfg::NodeId other : cells_[c][f]) {
+      if (other == n) continue;
+      if (!g_->mutuallyExclusive(n, other)) return false;
+    }
+    return true;
+  };
   if (plainCells(col)) {
     // No folding, no pipelining: the cells are distinct consecutive steps —
     // probe them directly without materializing a cell list.
     const int cycles = g_->cyclesOf(n);
     for (int s = step; s < step + cycles; ++s)
-      if (!cellFree(n, col, s)) return false;
+      if (!cellFree(s)) return false;
     return true;
   }
   if (overlapsOwnInitiation(g_->cyclesOf(n), latency_, isPipelined(col)))
     return false;
   for (int f : cellsFor(n, col, step))
-    if (!cellFree(n, col, f)) return false;
+    if (!cellFree(f)) return false;
   return true;
 }
 

@@ -69,8 +69,6 @@ class ColumnOccupancy {
 
   /// Folded steps this op occupies if started at `step` on `col`.
   std::vector<int> cellsFor(dfg::NodeId n, int col, int step) const;
-  /// Whether `n` may share cell (col, folded) with every op already there.
-  bool cellFree(dfg::NodeId n, int col, int folded) const;
   int fold(int step) const { return latency_ > 0 ? (step - 1) % latency_ : step; }
   /// True when the op's cells are (col, step)..(col, step+cycles-1) with no
   /// folding aliasing — the hot case that needs no materialized cell list.
