@@ -29,8 +29,9 @@ struct MuxArrangement {
   /// arrangeInputs/appendToArrangement so the hot delta/append paths test
   /// port membership in O(1) instead of scanning the vectors. Each is a
   /// bit vector indexed by NodeId (bit set = the signal is on that list),
-  /// sized to the largest member: one bit per node keeps an ALU's four
-  /// indexes small next to its port lists even on 10^5-op graphs.
+  /// sized to the largest member, so an ALU's four indexes take at most
+  /// V/2 bytes on a V-node graph; a byte per node would be 8x that for
+  /// every ALU of the search and of the finished datapath.
   std::vector<bool> leftSet, rightSet;
   std::vector<bool> pinnedLeftSet, pinnedRightSet;
 
