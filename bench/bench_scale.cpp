@@ -11,11 +11,17 @@
 #include <utility>
 
 #include "analysis/analyze.h"
+#include "analysis/audit/audit.h"
+#include "analysis/range/range.h"
 #include "analysis/timing/sta.h"
+#include "analysis/validate/validate.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
+#include "rtl/controller.h"
 #include "rtl/datapath.h"
+#include "rtl/microcode.h"
+#include "rtl/verify.h"
 #include "sched/timeframes.h"
 #include "trace/trace.h"
 #include "workloads/random_dfg.h"
@@ -124,35 +130,110 @@ BENCHMARK(BM_ScaleAnalyze)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// STA alone over the MFSA datapath at the critical path, built once per
-// size outside the timed loop: the timing walk over every endpoint plus the
-// one critical path it formats (no clock, so no finding).
-void BM_ScaleSta(benchmark::State& state) {
+/// The MFSA datapath of the conv design at its critical path, built once
+/// per size outside every timed loop, with the constraints it was built
+/// under; nullptr (and the benchmark skipped) when MFSA fails.
+const core::MfsaResult* cachedSynthesis(benchmark::State& state, int ops) {
   static const celllib::CellLibrary lib = celllib::ncrLike();
-  static std::map<int, rtl::Datapath> datapaths;
-  const int ops = static_cast<int>(state.range(0));
-  auto it = datapaths.find(ops);
-  if (it == datapaths.end()) {
+  static std::map<int, core::MfsaResult> results;
+  auto it = results.find(ops);
+  if (it == results.end()) {
     const dfg::Dfg& g = cachedGraph(workloads::DfgTopology::Conv, ops);
     core::MfsaOptions o;
     sched::Constraints probe;
     o.constraints.timeSteps =
         sched::computeTimeFrames(g, probe)->criticalSteps();
     o.traceLiapunov = false;
-    core::MfsaResult r = core::runMfsa(g, lib, o);
-    if (!r.feasible) {
-      state.SkipWithError(r.error.c_str());
-      return;
-    }
-    it = datapaths.emplace(ops, std::move(r.datapath)).first;
+    it = results.emplace(ops, core::runMfsa(g, lib, o)).first;
   }
+  if (!it->second.feasible) {
+    state.SkipWithError(it->second.error.c_str());
+    return nullptr;
+  }
+  return &it->second;
+}
+
+// STA alone over the cached datapath: the timing walk over every endpoint
+// plus the one critical path it formats (no clock, so no finding).
+void BM_ScaleSta(benchmark::State& state) {
+  const int ops = static_cast<int>(state.range(0));
+  const core::MfsaResult* r = cachedSynthesis(state, ops);
+  if (r == nullptr) return;
   for (auto _ : state) {
-    const auto t = analysis::timing::analyzeTiming(it->second);
+    const auto t = analysis::timing::analyzeTiming(r->datapath);
     benchmark::DoNotOptimize(t.worstSlackNs);
   }
   state.counters["ops"] = ops;
 }
 BENCHMARK(BM_ScaleSta)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+// The structural datapath lint (`synth`'s "verification" line) alone.
+void BM_ScaleVerify(benchmark::State& state) {
+  const int ops = static_cast<int>(state.range(0));
+  const core::MfsaResult* r = cachedSynthesis(state, ops);
+  if (r == nullptr) return;
+  sched::Constraints c;
+  c.timeSteps = r->steps;
+  for (auto _ : state) {
+    const auto bad =
+        rtl::verifyDatapath(r->datapath, c, rtl::DesignStyle::Unrestricted);
+    benchmark::DoNotOptimize(bad.size());
+  }
+  state.counters["ops"] = ops;
+}
+BENCHMARK(BM_ScaleVerify)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+/// The three checkers that read the controller and its ROM: both are built
+/// outside the timed loop, so a row times the checker alone.
+template <typename Check>
+void timeControllerCheck(benchmark::State& state, Check check) {
+  const int ops = static_cast<int>(state.range(0));
+  const core::MfsaResult* r = cachedSynthesis(state, ops);
+  if (r == nullptr) return;
+  const rtl::ControllerFsm fsm = rtl::buildController(r->datapath);
+  const rtl::MicrocodeRom rom = rtl::buildMicrocode(r->datapath, fsm);
+  for (auto _ : state) benchmark::DoNotOptimize(check(r->datapath, fsm, rom));
+  state.counters["ops"] = ops;
+}
+
+// Translation validation (`prove`) alone.
+void BM_ScaleProve(benchmark::State& state) {
+  timeControllerCheck(state, [](const auto& d, const auto& fsm,
+                                const auto& rom) {
+    return analysis::proveDatapath(d, fsm, rom).size();
+  });
+}
+BENCHMARK(BM_ScaleProve)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+// The definedness audit alone, one worker.
+void BM_ScaleAudit(benchmark::State& state) {
+  timeControllerCheck(state, [](const auto& d, const auto& fsm,
+                                const auto& rom) {
+    return analysis::audit::auditDesign(d, fsm, rom).report.size();
+  });
+}
+BENCHMARK(BM_ScaleAudit)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
+
+// The value-range analysis alone, one worker.
+void BM_ScaleRange(benchmark::State& state) {
+  timeControllerCheck(state, [](const auto& d, const auto& fsm,
+                                const auto& rom) {
+    return analysis::range::analyzeDesignRanges(d, fsm, rom).report.size();
+  });
+}
+BENCHMARK(BM_ScaleRange)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
