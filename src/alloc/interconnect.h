@@ -8,12 +8,9 @@
 #pragma once
 
 #include <compare>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "alloc/lifetimes.h"
-#include "alloc/regalloc.h"
 #include "sched/schedule.h"
 
 namespace mframe::alloc {
@@ -32,10 +29,13 @@ struct Source {
 /// Resolves which physical source carries a signal into a given reader.
 class SourceResolver {
  public:
+  /// `regOfSignal` and `aluOf` are the datapath's two NodeId-indexed tables
+  /// (rtl::Datapath): the register storing each value and the ALU executing
+  /// each op, -1 for none. The resolver reads them in place, so they must
+  /// outlive it.
   SourceResolver(const dfg::Dfg& g, const sched::Schedule& s,
-                 const std::vector<Lifetime>& lifetimes,
-                 const RegAllocation& regs,
-                 const std::map<dfg::NodeId, int>& aluOf);
+                 const std::vector<int>& regOfSignal,
+                 const std::vector<int>& aluOf);
 
   /// The source driving `signal` when consumed by operation `reader`.
   /// A consumer starting in the step where the producer finishes reads the
@@ -46,21 +46,35 @@ class SourceResolver {
  private:
   const dfg::Dfg* g_;
   const sched::Schedule* s_;
-  std::map<dfg::NodeId, int> regOfSignal_;
-  const std::map<dfg::NodeId, int>* aluOf_;
+  const std::vector<int>* regOfSignal_;
+  const std::vector<int>* aluOf_;
 };
 
 /// The wiring of one ALU input port after interconnect sharing.
 struct PortWiring {
   std::vector<Source> sources;  ///< distinct wires into the mux, in first-use order
-  /// (reader op, signal) -> index into `sources` (the mux select value).
-  std::map<std::pair<dfg::NodeId, dfg::NodeId>, std::size_t> selectOf;
+
+  /// One read the port carries: `reader` consumes `signal` through mux
+  /// input `select` (an index into `sources`).
+  struct Select {
+    dfg::NodeId reader = dfg::kNoNode;
+    dfg::NodeId signal = dfg::kNoNode;
+    int select = -1;
+  };
+  /// Every read of the port, one entry (12 bytes) per (reader, signal) pair,
+  /// sorted by (reader, signal) so selectFor is a binary search. Read it
+  /// through selectFor and sourceFor; only wirePort writes it.
+  std::vector<Select> selects;
+
+  /// The mux select routing `signal` into `reader`, or -1 when this port
+  /// never carries that read.
+  int selectFor(dfg::NodeId reader, dfg::NodeId signal) const;
 
   /// The source wired for `reader`'s consumption of `signal`, or nullptr when
   /// this port never carries that read.
   const Source* sourceFor(dfg::NodeId reader, dfg::NodeId signal) const {
-    auto it = selectOf.find({reader, signal});
-    return it == selectOf.end() ? nullptr : &sources[it->second];
+    const int sel = selectFor(reader, signal);
+    return sel < 0 ? nullptr : &sources[static_cast<std::size_t>(sel)];
   }
 };
 

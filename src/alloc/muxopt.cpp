@@ -12,11 +12,19 @@ bool contains(const std::vector<bool>& s, dfg::NodeId x) {
   return x < s.size() && s[x];
 }
 
+/// Set bit `x` of `s` to `on`, growing `s` only to set a bit.
+void assignBit(std::vector<bool>& s, dfg::NodeId x, bool on) {
+  if (x >= s.size()) {
+    if (!on) return;
+    s.resize(x + 1);
+  }
+  s[x] = on;
+}
+
 void addUnique(std::vector<dfg::NodeId>& v, std::vector<bool>& s,
                dfg::NodeId x) {
   if (contains(s, x)) return;
-  if (x >= s.size()) s.resize(x + 1);
-  s[x] = true;
+  assignBit(s, x, true);
   v.push_back(x);
 }
 
@@ -41,7 +49,7 @@ void placeCommutative(MuxArrangement& a, const dfg::Node& n) {
   const bool swap = prefersSwap(a, n);
   addUnique(a.left, a.leftSet, n.inputs[swap ? 1 : 0]);
   addUnique(a.right, a.rightSet, n.inputs[swap ? 0 : 1]);
-  a.swapped[n.id] = swap;
+  assignBit(a.swapped, n.id, swap);
 }
 
 /// Port sizes after appending commutative `n` to `base`. Appended last, the
@@ -70,8 +78,7 @@ bool pinsAlreadyPinned(const MuxArrangement& a, const dfg::Node& n) {
 MuxArrangement::Ports MuxArrangement::portSignals(const dfg::Node& n) const {
   Ports p;
   if (n.inputs.empty()) return p;
-  const auto it = swapped.find(n.id);
-  const bool swap = it != swapped.end() && it->second && n.inputs.size() == 2;
+  const bool swap = isSwapped(n.id) && n.inputs.size() == 2;
   p.left = n.inputs[swap ? 1 : 0];
   if (n.inputs.size() >= 2) p.right = n.inputs[swap ? 0 : 1];
   return p;
@@ -88,7 +95,6 @@ MuxArrangement arrangeInputs(const dfg::Dfg& g,
     if (isCommutativePair(n)) continue;
     if (n.inputs.size() >= 1) addUnique(a.left, a.leftSet, n.inputs[0]);
     if (n.inputs.size() >= 2) addUnique(a.right, a.rightSet, n.inputs[1]);
-    a.swapped[id] = false;
   }
   a.pinnedLeft = a.left;
   a.pinnedRight = a.right;
@@ -139,7 +145,6 @@ bool appendToArrangement(const dfg::Dfg& g, MuxArrangement& a, dfg::NodeId op) {
     placeCommutative(a, n);
     return true;
   }
-  a.swapped[op] = false;
   if (pinsAlreadyPinned(a, n)) {
     // Pass-1 state unchanged, so every pass-2 decision replays identically:
     // the op joins without moving any signal.

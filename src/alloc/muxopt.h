@@ -7,7 +7,6 @@
 // each commutative operation".
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "celllib/cell_library.h"
@@ -18,7 +17,11 @@ namespace mframe::alloc {
 struct MuxArrangement {
   std::vector<dfg::NodeId> left;   ///< distinct signals feeding port 1 (L1)
   std::vector<dfg::NodeId> right;  ///< distinct signals feeding port 2 (L2)
-  std::map<dfg::NodeId, bool> swapped;  ///< op -> operands were swapped
+  /// Bit per op id, set where a commutative op's operands were swapped;
+  /// sized to the largest swapped op, so at most V/8 bytes per ALU on a
+  /// V-node graph. Read it through isSwapped; only the arrangement
+  /// functions below write it.
+  std::vector<bool> swapped;
   /// Signals pinned to each port by pass 1 (fixed-order operations). A
   /// subset of left/right; arrangeInputsDelta uses them to decide when a
   /// try-add is provably equivalent to a full re-arrangement.
@@ -36,6 +39,12 @@ struct MuxArrangement {
   std::vector<bool> pinnedLeftSet, pinnedRightSet;
 
   std::size_t totalInputs() const { return left.size() + right.size(); }
+
+  /// Whether op `op` reads its operands swapped. False for fixed-order and
+  /// unary ops and for ids this arrangement never saw.
+  bool isSwapped(dfg::NodeId op) const {
+    return op < swapped.size() && swapped[op];
+  }
 
   /// The signals op `n` reads through port 1 and port 2 (kNoNode where it
   /// has no such operand): the one statement of the operand swap every

@@ -403,9 +403,8 @@ void checkOutputs(const StepIndex& idx, const ReachResult& reach,
       continue;
     const DefState& facts = out[static_cast<std::size_t>(s)];
     for (const auto& [node, name] : g.outputs()) {
-      const auto it = idx.d->regOfSignal.find(node);
-      if (it == idx.d->regOfSignal.end()) continue;  // unregistered output
-      const int reg = it->second;
+      const int reg = idx.d->registerOf(node);
+      if (reg < 0) continue;  // unregistered output
       const bool undef = !facts.defined.test(reg);
       if (!undef && facts.clean.test(reg)) continue;
       Diagnostic d = diag(

@@ -66,7 +66,9 @@ CriticalityResult analyzeCriticality(const rtl::Datapath& d,
   // plus the deepest input-port mux tree plus one shared-line hop. This is
   // the delay the cone scheduler is handed in place of the node's claimed
   // `delayNs`.
-  for (const auto& [op, alu] : d.aluOf) {
+  for (dfg::NodeId op = 0; op < g.size(); ++op) {
+    const int alu = d.aluIndexOf(op);
+    if (alu < 0) continue;
     const auto idx = static_cast<std::size_t>(alu);
     const celllib::Module& m = d.lib->module(d.alus[idx].module);
     int levels = 0;

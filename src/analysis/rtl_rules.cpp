@@ -117,7 +117,7 @@ LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
   }
   trace::bump(trace::Counter::VerifyCells, cells);
   for (const alloc::Lifetime& lt : d.lifetimes)
-    if (lt.needsRegister && !d.regOfSignal.count(lt.producer))
+    if (lt.needsRegister && d.registerOf(lt.producer) < 0)
       r.add(diag(kRtlMissingRegister, EntityKind::Node,
                  at(g.node(lt.producer).name),
                  util::format("signal '%s' crosses steps but has no register",
@@ -132,7 +132,7 @@ LintReport lintDatapath(const rtl::Datapath& d, const sched::Constraints& c,
       const alloc::MuxArrangement::Ports p = d.arrangement[ai].portSignals(n);
       const auto check = [&](const alloc::PortWiring& w, NodeId signal,
                              const char* port) {
-        if (signal == dfg::kNoNode || w.selectOf.count({op, signal})) return;
+        if (signal == dfg::kNoNode || w.selectFor(op, signal) >= 0) return;
         r.add(diag(kRtlUnconnectedPort, EntityKind::Port,
                    at(n.name, -1, a.index, g.node(signal).name),
                    util::format("ALU%d %s port cannot deliver '%s' to '%s'",

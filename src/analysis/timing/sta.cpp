@@ -150,7 +150,7 @@ struct Walker {
 
   void walkOp(NodeId id) {
     const dfg::Node& node = g.node(id);
-    const int alu = d.aluOf.at(id);
+    const int alu = d.aluIndexOf(id);
     OpTiming& t = timing[id];
 
     double worstArrival = 0.0;
@@ -177,7 +177,7 @@ struct Walker {
   NodeId chainedProducer(NodeId id) const {
     const int k = timing[id].worstOperand;
     if (k < 0) return dfg::kNoNode;
-    return operandArrival(id, d.aluOf.at(id), static_cast<std::size_t>(k),
+    return operandArrival(id, d.aluIndexOf(id), static_cast<std::size_t>(k),
                           nullptr)
         .chainedFrom;
   }
@@ -197,7 +197,7 @@ struct Walker {
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       const dfg::Node& node = g.node(*it);
       const OpTiming& t = timing[*it];
-      const int alu = d.aluOf.at(*it);
+      const int alu = d.aluIndexOf(*it);
       if (t.worstOperand >= 0)
         operandArrival(*it, alu, static_cast<std::size_t>(t.worstOperand),
                        &path);
@@ -209,8 +209,7 @@ struct Walker {
           std::string(dfg::kindName(node.kind)).c_str(), module.delayNs,
           t.totalNs));
     }
-    const int destReg =
-        d.regOfSignal.count(e.op) ? d.regOfSignal.at(e.op) : -1;
+    const int destReg = d.registerOf(e.op);
     if (destReg >= 0)
       path.push_back(util::format(
           "bus: ALU%d output to register r%d (+%.1f ns)", e.alu, destReg,
@@ -251,22 +250,23 @@ TimingReport analyzeTiming(const rtl::Datapath& d, const TimingOptions& opts) {
   Walker walker(d, opts);
   // Node ids are topological, so chained producers settle before readers.
   for (NodeId id = 0; id < g.size(); ++id)
-    if (dfg::isSchedulable(g.node(id).kind) && d.aluOf.count(id))
+    if (dfg::isSchedulable(g.node(id).kind) && d.aluIndexOf(id) >= 0)
       walker.walkOp(id);
 
   const DelayModel& m = kDelayModel;
   std::size_t worst = 0;
   for (NodeId id = 0; id < g.size(); ++id) {
     const dfg::Node& node = g.node(id);
-    if (!dfg::isSchedulable(node.kind) || !d.aluOf.count(id)) continue;
-    const bool latched = d.regOfSignal.count(id) > 0 || isOutput[id];
+    const int alu = d.aluIndexOf(id);
+    if (!dfg::isSchedulable(node.kind) || alu < 0) continue;
+    const bool latched = d.registerOf(id) >= 0 || isOutput[id];
     if (!latched) continue;  // chained-only: audited through its consumers
 
     const OpTiming& t = walker.timing[id];
     EndpointTiming e;
     e.op = id;
     e.step = d.schedule.endStepOf(id);
-    e.alu = d.aluOf.at(id);
+    e.alu = alu;
     e.latched = true;
     e.chainDepth = t.chainDepth;
     e.requiredNs = node.cycles * opts.clockNs;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -19,6 +20,28 @@ namespace {
 using dfg::NodeId;
 using FieldKind = rtl::MicrocodeField::Kind;
 
+/// The rows of a controller table that name one node: the first in table
+/// order and how many there are.
+template <typename Row>
+struct RowsOf {
+  const Row* first = nullptr;
+  std::size_t count = 0;
+};
+
+/// `rows` grouped by the node each names (`key`), indexed by NodeId over
+/// `numNodes` ids; rows naming an id past the graph are left out.
+template <typename Row>
+std::vector<RowsOf<Row>> rowsByNode(const std::vector<Row>& rows,
+                                    NodeId Row::*key, std::size_t numNodes) {
+  std::vector<RowsOf<Row>> out(numNodes);
+  for (const Row& row : rows) {
+    const NodeId n = row.*key;
+    if (n >= numNodes) continue;
+    if (out[n].count++ == 0) out[n].first = &row;
+  }
+  return out;
+}
+
 /// The symbolic machine. One instance per proveDatapath call; `run` drives
 /// the static cross-checks, the per-step symbolic execution and the final
 /// output audit, accumulating EQV diagnostics along the way.
@@ -35,7 +58,6 @@ class Prover {
 
   LintReport run() {
     ideal_ = vn_.numberGraph(g_);
-    busAssign_ = rtl::busAssignmentPerStep(d_, fsm_);
     resolveRom();
     checkIssueTable();
     checkLoadTable();
@@ -86,6 +108,20 @@ class Prover {
     return alu >= 0 && alu < static_cast<int>(d_.alus.size());
   }
 
+  /// The (op, value) pairs on ALU `alu`'s output in the current step; none
+  /// for an index outside the datapath.
+  const std::vector<std::pair<NodeId, Vn>>& aluOutput(int alu) const {
+    static const std::vector<std::pair<NodeId, Vn>> kNone;
+    return aluInRange(alu) ? aluNow_[static_cast<std::size_t>(alu)] : kNone;
+  }
+
+  /// The bus each shared source drives per step, built on first use: only
+  /// a finding's provenance names a bus, so a clean proof never builds it.
+  const std::vector<std::map<alloc::Source, int>>& busAssign() {
+    if (!busAssign_) busAssign_ = rtl::busAssignmentPerStep(d_, fsm_);
+    return *busAssign_;
+  }
+
   /// Every field handle the checks read, resolved once per unit.
   void resolveRom() {
     for (int alu = 0; alu < static_cast<int>(d_.alus.size()); ++alu) {
@@ -102,12 +138,11 @@ class Prover {
   // -- static cross-checks: schedule vs controller vs ROM (EQV005) -----------
 
   void checkIssueTable() {
-    std::map<NodeId, std::vector<const rtl::MicroOp*>> byOp;
-    for (const rtl::MicroOp& m : fsm_.microOps) byOp[m.op].push_back(&m);
+    const auto byOp = rowsByNode(fsm_.microOps, &rtl::MicroOp::op, g_.size());
     for (const dfg::Node& n : g_.nodes()) {
       if (!dfg::isSchedulable(n.kind) || !d_.schedule.isPlaced(n.id)) continue;
-      auto it = byOp.find(n.id);
-      if (it == byOp.end()) {
+      const RowsOf<rtl::MicroOp>& issued = byOp[n.id];
+      if (issued.count == 0) {
         r_.add(diag(kEqvStepDisagreement, EntityKind::Node,
                     at(n.name, d_.schedule.stepOf(n.id)),
                     util::format("scheduled op '%s' is never issued by the "
@@ -115,12 +150,12 @@ class Prover {
                     "emit one micro-operation per scheduled operation"));
         continue;
       }
-      if (it->second.size() > 1)
+      if (issued.count > 1)
         r_.add(diag(kEqvStepDisagreement, EntityKind::Node,
                     at(n.name, d_.schedule.stepOf(n.id)),
                     util::format("op '%s' issued %zu times", n.name.c_str(),
-                                 it->second.size())));
-      const rtl::MicroOp& m = *it->second.front();
+                                 issued.count)));
+      const rtl::MicroOp& m = *issued.first;
       if (m.step != d_.schedule.stepOf(n.id))
         r_.add(diag(kEqvStepDisagreement, EntityKind::Node,
                     at(n.name, m.step, m.alu),
@@ -128,23 +163,25 @@ class Prover {
                                  "step %d", n.name.c_str(), m.step,
                                  d_.schedule.stepOf(n.id)),
                     "issue the op in its scheduled control step"));
-      auto alu = d_.aluOf.find(n.id);
-      if (alu != d_.aluOf.end() && m.alu != alu->second)
+      const int alu = d_.aluIndexOf(n.id);
+      if (alu >= 0 && m.alu != alu)
         r_.add(diag(kEqvStepDisagreement, EntityKind::Alu,
                     at(n.name, m.step, m.alu),
                     util::format("op '%s' issued on ALU%d but bound to ALU%d",
-                                 n.name.c_str(), m.alu, alu->second)));
+                                 n.name.c_str(), m.alu, alu)));
     }
   }
 
   void checkLoadTable() {
-    std::map<NodeId, std::vector<const rtl::RegLoad*>> bySignal;
-    for (const rtl::RegLoad& rl : fsm_.regLoads)
-      bySignal[rl.signal].push_back(&rl);
-    for (const auto& [signal, reg] : d_.regOfSignal) {
+    const auto bySignal =
+        rowsByNode(fsm_.regLoads, &rtl::RegLoad::signal, g_.size());
+    // Registered signals in NodeId order, which orders the findings.
+    for (NodeId signal = 0; signal < g_.size(); ++signal) {
+      const int reg = d_.registerOf(signal);
+      if (reg < 0) continue;
       const dfg::Node& n = g_.node(signal);
-      auto it = bySignal.find(signal);
-      if (it == bySignal.end()) {
+      const RowsOf<rtl::RegLoad>& latched = bySignal[signal];
+      if (latched.count == 0) {
         r_.add(diag(kEqvStepDisagreement, EntityKind::Register,
                     at(n.name, -1, reg),
                     util::format("registered signal '%s' is never latched",
@@ -152,12 +189,12 @@ class Prover {
                     "latch the signal at the end of its birth step"));
         continue;
       }
-      if (it->second.size() > 1)
+      if (latched.count > 1)
         r_.add(diag(kEqvStepDisagreement, EntityKind::Register,
                     at(n.name, -1, reg),
                     util::format("signal '%s' latched %zu times",
-                                 n.name.c_str(), it->second.size())));
-      const rtl::RegLoad& rl = *it->second.front();
+                                 n.name.c_str(), latched.count)));
+      const rtl::RegLoad& rl = *latched.first;
       if (rl.reg != reg)
         r_.add(diag(kEqvStepDisagreement, EntityKind::Register,
                     at(n.name, rl.step, rl.reg),
@@ -265,9 +302,10 @@ class Prover {
     out.push_back(util::format("%s port select %d", left ? "left" : "right",
                                sel));
     if (src) {
-      if (t >= 1 && t < static_cast<int>(busAssign_.size())) {
-        auto bus = busAssign_[static_cast<std::size_t>(t)].find(*src);
-        if (bus != busAssign_[static_cast<std::size_t>(t)].end())
+      const auto& buses = busAssign();
+      if (t >= 1 && t < static_cast<int>(buses.size())) {
+        auto bus = buses[static_cast<std::size_t>(t)].find(*src);
+        if (bus != buses[static_cast<std::size_t>(t)].end())
           out.push_back(util::format("bus %d", bus->second));
       }
       out.push_back("source " + src->toString(g_));
@@ -295,8 +333,8 @@ class Prover {
     const auto ai = static_cast<std::size_t>(m.alu);
     const alloc::PortWiring& w = left ? d_.leftPort[ai] : d_.rightPort[ai];
 
-    auto sel = w.selectOf.find({m.op, signal});
-    if (sel == w.selectOf.end()) {
+    const int expectedSel = w.selectFor(m.op, signal);
+    if (expectedSel < 0) {
       r_.add(diag(kEqvMuxRoute, EntityKind::Port,
                   at(n.name, t, m.alu, nameOf(signal)),
                   util::format("%s port of ALU%d is not wired to deliver "
@@ -304,7 +342,6 @@ class Prover {
                                nameOf(signal).c_str(), n.name.c_str())));
       return {vn_.fresh(), false};
     }
-    const int expectedSel = static_cast<int>(sel->second);
     int actualSel = expectedSel;
     const std::optional<int> romSel =
         romUsable_ ? rom_.valueAt(t, left ? aluFields_[ai].selL
@@ -365,7 +402,7 @@ class Prover {
         break;
       }
       case alloc::Source::Kind::AluOut: {
-        const auto& now = aluNow_[src.index];
+        const auto& now = aluOutput(src.index);
         auto it = std::find_if(now.begin(), now.end(), [&](const auto& e) {
           return e.first == signal;
         });
@@ -443,7 +480,7 @@ class Prover {
 
     const int end = t + n.cycles - 1;
     if (end == t)
-      aluNow_[m.alu].emplace_back(m.op, result);
+      aluNow_[static_cast<std::size_t>(m.alu)].emplace_back(m.op, result);
     else
       pending_[end].emplace_back(m.alu, m.op, result);
     return true;
@@ -455,7 +492,7 @@ class Prover {
       if (rl.reg < 0 || rl.reg >= static_cast<int>(regs_.size())) continue;
       Vn v = vn_.fresh();
       if (rl.fromAlu >= 0) {
-        const auto& now = aluNow_[rl.fromAlu];
+        const auto& now = aluOutput(rl.fromAlu);
         auto it = std::find_if(now.begin(), now.end(), [&](const auto& e) {
           return e.first == rl.signal;
         });
@@ -494,6 +531,8 @@ class Prover {
 
   void execute() {
     regs_.assign(d_.regs.count(), RegState{});
+    aluNow_.resize(d_.alus.size());
+    computed_.assign(g_.size(), kNoVn);
     // Reset state: primary inputs preload their registers.
     for (const rtl::RegLoad* load : idx_.loads[0]) {
       const rtl::RegLoad& rl = *load;
@@ -520,11 +559,11 @@ class Prover {
     }
 
     for (int t = 1; t <= fsm_.numSteps; ++t) {
-      aluNow_.clear();
+      for (auto& now : aluNow_) now.clear();
       auto done = pending_.find(t);
       if (done != pending_.end()) {
         for (const auto& [alu, op, v] : done->second)
-          aluNow_[alu].emplace_back(op, v);
+          aluNow_[static_cast<std::size_t>(alu)].emplace_back(op, v);
         pending_.erase(done);
       }
 
@@ -559,26 +598,25 @@ class Prover {
     for (const auto& [node, name] : g_.outputs()) {
       const dfg::Node& n = g_.node(node);
       if (n.kind == dfg::OpKind::Const) continue;  // hardwired literal
-      auto reg = d_.regOfSignal.find(node);
-      if (reg != d_.regOfSignal.end() && reg->second >= 0 &&
-          reg->second < static_cast<int>(regs_.size())) {
-        const RegState& st = regs_[static_cast<std::size_t>(reg->second)];
+      const int reg = d_.registerOf(node);
+      if (reg >= 0 && reg < static_cast<int>(regs_.size())) {
+        const RegState& st = regs_[static_cast<std::size_t>(reg)];
         if (st.value == kNoVn) {
           r_.add(diag(kEqvOutputUnreachable, EntityKind::Register,
-                      at(n.name, -1, reg->second, name),
+                      at(n.name, -1, reg, name),
                       util::format("output '%s' register R%d is never "
-                                   "written", name.c_str(), reg->second)));
+                                   "written", name.c_str(), reg)));
         } else if (st.value != ideal_[node]) {
           const auto [gotText, wantText] =
               renderDistinct(st.value, ideal_[node]);
           Diagnostic d = diag(
               kEqvOutputUnreachable, EntityKind::Register,
-              at(n.name, -1, reg->second, name),
+              at(n.name, -1, reg, name),
               util::format("output '%s' register R%d ends holding %s instead "
-                           "of %s", name.c_str(), reg->second,
+                           "of %s", name.c_str(), reg,
                            gotText.c_str(), wantText.c_str()));
           d.provenance = {util::format(
-              "R%d last latched '%s'", reg->second,
+              "R%d last latched '%s'", reg,
               st.occupant == dfg::kNoNode ? "nothing"
                                           : nameOf(st.occupant).c_str())};
           r_.add(std::move(d));
@@ -586,8 +624,7 @@ class Prover {
         continue;
       }
       if (n.kind == dfg::OpKind::Input) continue;  // forwarded input port
-      auto it = computed_.find(node);
-      if (it == computed_.end())
+      if (computed_[node] == kNoVn)
         r_.add(diag(kEqvOutputUnreachable, EntityKind::Node, at(n.name),
                     util::format("output '%s' is never computed",
                                  name.c_str())));
@@ -609,15 +646,16 @@ class Prover {
   LintReport r_;
   ValueNumbering vn_;
   std::vector<Vn> ideal_;
-  std::vector<std::map<alloc::Source, int>> busAssign_;
+  std::optional<std::vector<std::map<alloc::Source, int>>> busAssign_;
   bool romUsable_ = false;
   std::vector<AluFields> aluFields_;  ///< index = ALU
   std::vector<int> loadField_;        ///< index = register
 
   std::vector<RegState> regs_;
-  std::map<int, std::vector<std::pair<NodeId, Vn>>> aluNow_;
+  /// (op, value) pairs on each ALU's output this step; index = ALU
+  std::vector<std::vector<std::pair<NodeId, Vn>>> aluNow_;
   std::map<int, std::vector<std::tuple<int, NodeId, Vn>>> pending_;
-  std::map<NodeId, Vn> computed_;
+  std::vector<Vn> computed_;  ///< index = NodeId; kNoVn until it executes
 };
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "analysis/validate/value_numbering.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 
 #include "util/strings.h"
 
@@ -27,6 +29,15 @@ Vn ValueNumbering::ofConst(long value) {
   d.kind = Def::Kind::Const;
   d.value = value;
   return constVn_[value] = intern(d);
+}
+
+std::size_t ValueNumbering::OpKeyHash::operator()(const OpKey& k) const {
+  const auto [kind, a, b] = k;
+  const std::uint64_t operands =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
+      static_cast<std::uint32_t>(b);
+  return std::hash<std::uint64_t>{}(
+      operands ^ (static_cast<std::uint64_t>(kind) * 0x9e3779b97f4a7c15ull));
 }
 
 Vn ValueNumbering::ofOp(dfg::OpKind kind, Vn a, Vn b) {

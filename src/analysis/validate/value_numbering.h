@@ -13,6 +13,8 @@
 
 #include <map>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "dfg/dfg.h"
@@ -64,7 +66,12 @@ class ValueNumbering {
   std::map<dfg::NodeId, Vn> inputVn_;
   std::map<long, Vn> constVn_;
   std::map<dfg::NodeId, Vn> opaqueVn_;
-  std::map<std::tuple<dfg::OpKind, Vn, Vn>, Vn> opVn_;
+
+  using OpKey = std::tuple<dfg::OpKind, Vn, Vn>;
+  struct OpKeyHash {
+    std::size_t operator()(const OpKey& k) const;
+  };
+  std::unordered_map<OpKey, Vn, OpKeyHash> opVn_;
 };
 
 }  // namespace mframe::analysis

@@ -33,9 +33,9 @@ std::vector<Transfer> collectTransfers(const Datapath& d,
         d.arrangement[ai].portSignals(g.node(m.op));
     auto addRead = [&](bool leftPort, dfg::NodeId signal) {
       const auto& w = leftPort ? d.leftPort[ai] : d.rightPort[ai];
-      auto sel = w.selectOf.find({m.op, signal});
-      if (sel == w.selectOf.end()) return;
-      const alloc::Source& src = w.sources[sel->second];
+      const alloc::Source* wired = w.sourceFor(m.op, signal);
+      if (wired == nullptr) return;
+      const alloc::Source& src = *wired;
       // Constants and primary-input ports are hardwired, not bused.
       if (src.kind == alloc::Source::Kind::Constant ||
           src.kind == alloc::Source::Kind::PrimaryInput)

@@ -17,10 +17,7 @@ ControllerFsm buildController(const Datapath& d) {
   // the port has no mux or the op reads nothing through it.
   const auto selectOf = [](const alloc::PortWiring& w, dfg::NodeId op,
                            dfg::NodeId signal) {
-    const auto it = w.selectOf.find({op, signal});
-    return it != w.selectOf.end() && w.sources.size() > 1
-               ? static_cast<int>(it->second)
-               : -1;
+    return w.sources.size() > 1 ? w.selectFor(op, signal) : -1;
   };
   for (const AluInstance& a : d.alus) {
     const auto ai = static_cast<std::size_t>(a.index);
@@ -42,19 +39,20 @@ ControllerFsm buildController(const Datapath& d) {
             });
 
   // Register loads: each stored signal is latched at the end of its birth
-  // step; primary inputs preload at step 0.
-  for (const auto& [signal, reg] : d.regOfSignal) {
-    const dfg::Node& n = g.node(signal);
+  // step; primary inputs preload at step 0. Signals are visited in NodeId
+  // order: the sort below is not stable, so its input order settles ties.
+  for (dfg::NodeId signal = 0; signal < g.size(); ++signal) {
+    const int reg = d.registerOf(signal);
+    if (reg < 0) continue;
     RegLoad rl;
     rl.reg = reg;
     rl.signal = signal;
-    if (n.kind == dfg::OpKind::Input) {
+    if (g.node(signal).kind == dfg::OpKind::Input) {
       rl.step = 0;
       rl.fromAlu = -1;
     } else {
       rl.step = d.schedule.endStepOf(signal);
-      auto it = d.aluOf.find(signal);
-      rl.fromAlu = it == d.aluOf.end() ? -1 : it->second;
+      rl.fromAlu = d.aluIndexOf(signal);
     }
     f.regLoads.push_back(rl);
   }

@@ -28,19 +28,21 @@ Datapath buildDatapath(const dfg::Dfg& g, const celllib::CellLibrary& lib,
   d.graph = d.schedule.sharedGraph();  // identical snapshot as the schedule's
   d.lib = std::make_shared<celllib::CellLibrary>(lib);
   d.alus = std::move(alus);
+  d.aluOf.assign(g.size(), -1);
   for (const AluInstance& a : d.alus)
     for (dfg::NodeId op : a.ops) d.aluOf[op] = a.index;
 
   // Registers (Section 5.8).
   d.lifetimes = alloc::computeLifetimes(g, s);
   d.regs = regs ? std::move(*regs) : alloc::allocateRegisters(d.lifetimes);
+  d.regOfSignal.assign(g.size(), -1);
   for (std::size_t r = 0; r < d.regs.registers.size(); ++r)
     for (std::size_t i : d.regs.registers[r])
       d.regOfSignal[d.lifetimes[i].producer] = static_cast<int>(r);
 
   // Mux arrangement per ALU (Section 5.6), then physical wiring with
   // interconnect sharing (Section 5.7).
-  const alloc::SourceResolver resolver(g, s, d.lifetimes, d.regs, d.aluOf);
+  const alloc::SourceResolver resolver(g, s, d.regOfSignal, d.aluOf);
   d.arrangement.reserve(d.alus.size());
   for (const AluInstance& a : d.alus) {
     d.arrangement.push_back(alloc::arrangeInputs(g, a.ops));
@@ -99,9 +101,10 @@ std::vector<AluInstance> bindByColumns(const dfg::Dfg& g,
 
 std::vector<DeclaredWidth> declaredRegisterWidths(const Datapath& d) {
   std::vector<DeclaredWidth> w(d.regs.count());
-  // regOfSignal is ordered by NodeId, so ties resolve to the oldest tenant
-  // deterministically.
-  for (const auto& [sig, reg] : d.regOfSignal) {
+  // Signals are visited in NodeId order, so ties resolve to the oldest
+  // tenant deterministically.
+  for (dfg::NodeId sig = 0; sig < d.graph->size(); ++sig) {
+    const int reg = d.registerOf(sig);
     if (reg < 0 || static_cast<std::size_t>(reg) >= w.size()) continue;
     const int dw = d.graph->node(sig).width;
     if (dw > 0 && dw > w[static_cast<std::size_t>(reg)].width)

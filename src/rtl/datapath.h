@@ -5,7 +5,6 @@
 // interconnect lines.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,17 +42,34 @@ struct Datapath {
   sched::Schedule schedule;
 
   std::vector<AluInstance> alus;
-  std::map<dfg::NodeId, int> aluOf;      ///< op -> ALU index
-
   std::vector<alloc::Lifetime> lifetimes;
   alloc::RegAllocation regs;
-  std::map<dfg::NodeId, int> regOfSignal;  ///< producer -> register index
+
+  /// The binding and the register allocation as two tables indexed by
+  /// NodeId and sized to the graph: the ALU executing each op and the
+  /// register storing each value, -1 where there is none (inputs and
+  /// constants have no ALU; chained-only values and constants no register).
+  /// They take 8 bytes per node. Read them through aluIndexOf and
+  /// registerOf; only buildDatapath writes them.
+  std::vector<int> aluOf;
+  std::vector<int> regOfSignal;
 
   /// Per-ALU operand arrangement (which signal feeds which port) and the
   /// physical wiring of the two ports after interconnect sharing.
   std::vector<alloc::MuxArrangement> arrangement;  ///< index = ALU index
   std::vector<alloc::PortWiring> leftPort;
   std::vector<alloc::PortWiring> rightPort;
+
+  /// The ALU executing op `n`, or -1 when none does or `n` lies past the
+  /// graph.
+  int aluIndexOf(dfg::NodeId n) const {
+    return n < aluOf.size() ? aluOf[n] : -1;
+  }
+  /// The register storing signal `n`, or -1 when none does or `n` lies past
+  /// the graph.
+  int registerOf(dfg::NodeId n) const {
+    return n < regOfSignal.size() ? regOfSignal[n] : -1;
+  }
 
   /// The paper's Table-2 "ALU's" column, e.g. "(+-); 2(*)".
   std::string aluSummary() const;
@@ -80,7 +96,7 @@ struct DeclaredWidth {
 };
 
 /// Per-register declared widths: a register is sized by the widest declared
-/// width among the signals allocated to it (regOfSignal). A tenant with no
+/// width among the signals allocated to it (registerOf). A tenant with no
 /// declaration adopts the register's size — which is exactly how an
 /// undeclared wide value gets silently truncated by a narrow co-tenant; the
 /// range analysis (WID001) audits that hazard.

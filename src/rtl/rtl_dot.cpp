@@ -59,12 +59,13 @@ std::string toDot(const Datapath& d) {
     port(d.leftPort[ai], "a");
     port(d.rightPort[ai], "b");
   }
-  // Register write edges: producing ALU -> register.
-  for (const auto& [signal, reg] : d.regOfSignal) {
-    auto it = d.aluOf.find(signal);
-    if (it != d.aluOf.end())
+  // Register write edges: producing ALU -> register, in NodeId order.
+  for (dfg::NodeId signal = 0; signal < g.size(); ++signal) {
+    const int reg = d.registerOf(signal);
+    const int alu = d.aluIndexOf(signal);
+    if (reg >= 0 && alu >= 0)
       out += util::format("  alu%d -> reg%d [style=dashed, label=\"%s\"];\n",
-                          it->second, reg, g.node(signal).name.c_str());
+                          alu, reg, g.node(signal).name.c_str());
   }
   out += "}\n";
   return out;

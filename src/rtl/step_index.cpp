@@ -30,9 +30,11 @@ StepIndex::StepIndex(const Datapath& dp, const ControllerFsm& f)
 
 const alloc::Source* StepIndex::wiredSource(dfg::NodeId op,
                                             dfg::NodeId signal) const {
-  const auto alu = static_cast<std::size_t>(d->aluOf.at(op));
-  const alloc::Source* s = d->leftPort[alu].sourceFor(op, signal);
-  if (s == nullptr) s = d->rightPort[alu].sourceFor(op, signal);
+  const int alu = d->aluIndexOf(op);
+  if (alu < 0) return nullptr;
+  const auto ai = static_cast<std::size_t>(alu);
+  const alloc::Source* s = d->leftPort[ai].sourceFor(op, signal);
+  if (s == nullptr) s = d->rightPort[ai].sourceFor(op, signal);
   return s;
 }
 

@@ -16,15 +16,15 @@ TestabilityReport analyzeTestability(const Datapath& d) {
   for (const AluInstance& a : d.alus) {
     for (dfg::NodeId op : a.ops) {
       for (dfg::NodeId p : g.opPreds(op)) {
-        auto it = d.aluOf.find(p);
-        if (it == d.aluOf.end()) continue;
-        if (it->second == a.index) {
+        const int alu = d.aluIndexOf(p);
+        if (alu < 0) continue;
+        if (alu == a.index) {
           ++rep.selfLoopPairs;
           loopAlus.insert(a.index);
-          auto reg = d.regOfSignal.find(p);
-          if (reg != d.regOfSignal.end()) loopRegs.insert(reg->second);
+          const int reg = d.registerOf(p);
+          if (reg >= 0) loopRegs.insert(reg);
         } else {
-          crossEdges.insert({it->second, a.index});
+          crossEdges.insert({alu, a.index});
         }
       }
     }

@@ -104,8 +104,9 @@ std::string toVerilog(const Datapath& d, const ControllerFsm& fsm, int width) {
       const alloc::MuxArrangement::Ports p = d.arrangement[ai].portSignals(n);
       const auto operand = [&](const alloc::PortWiring& w,
                                dfg::NodeId signal) -> std::string {
-        if (signal == dfg::kNoNode) return "0";
-        return srcExpr(w.sources[w.selectOf.at({m->op, signal})]);
+        const alloc::Source* src =
+            signal == dfg::kNoNode ? nullptr : w.sourceFor(m->op, signal);
+        return src ? srcExpr(*src) : std::string("0");
       };
       body += util::format("        alu%d_a = %s; alu%d_b = %s;\n", m->alu,
                            operand(d.leftPort[ai], p.left).c_str(), m->alu,
@@ -143,12 +144,13 @@ std::string toVerilog(const Datapath& d, const ControllerFsm& fsm, int width) {
 
   // Output wiring: from the register holding the value, or the ALU output.
   for (const auto& [id, ext] : g.outputs()) {
-    auto reg = d.regOfSignal.find(id);
-    if (reg != d.regOfSignal.end())
-      v += util::format("  assign out_%s = R%d;\n", ident(ext).c_str(), reg->second);
-    else if (d.aluOf.count(id))
+    const int reg = d.registerOf(id);
+    const int alu = d.aluIndexOf(id);
+    if (reg >= 0)
+      v += util::format("  assign out_%s = R%d;\n", ident(ext).c_str(), reg);
+    else if (alu >= 0)
       v += util::format("  assign out_%s = alu%d_y;\n", ident(ext).c_str(),
-                        d.aluOf.at(id));
+                        alu);
     else if (g.node(id).kind == dfg::OpKind::Input)
       v += util::format("  assign out_%s = in_%s;\n", ident(ext).c_str(),
                         ident(g.node(id).name).c_str());

@@ -45,11 +45,11 @@ RtlSimResult simulateRtl(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
                          Word& out) -> std::optional<std::string> {
     const auto ai = static_cast<std::size_t>(m.alu);
     const alloc::PortWiring& w = leftPort ? d.leftPort[ai] : d.rightPort[ai];
-    auto sel = w.selectOf.find({m.op, signal});
-    if (sel == w.selectOf.end())
+    const alloc::Source* wired = w.sourceFor(m.op, signal);
+    if (wired == nullptr)
       return "no wiring for operand '" + g.node(signal).name + "' of '" +
              g.node(m.op).name + "'";
-    const alloc::Source& src = w.sources[sel->second];
+    const alloc::Source& src = *wired;
     switch (src.kind) {
       case alloc::Source::Kind::Register: {
         auto it = regfile.find(src.index);
@@ -88,8 +88,7 @@ RtlSimResult simulateRtl(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
       for (const rtl::MicroOp* m : todo) {
         const dfg::Node& n = g.node(m->op);
         const auto& arr = d.arrangement[static_cast<std::size_t>(m->alu)];
-        const bool swap =
-            arr.swapped.count(m->op) ? arr.swapped.at(m->op) : false;
+        const bool swap = arr.isSwapped(m->op);
         Word a = 0, b = 0;
         std::optional<std::string> err;
         bool deferred = false;
@@ -143,9 +142,9 @@ RtlSimResult simulateRtl(const rtl::Datapath& d, const rtl::ControllerFsm& fsm,
 
   // Primary outputs, wired exactly like the Verilog writer.
   for (const auto& [id, ext] : g.outputs()) {
-    auto reg = d.regOfSignal.find(id);
-    if (reg != d.regOfSignal.end()) {
-      res.outputs[ext] = regfile[reg->second];
+    const int reg = d.registerOf(id);
+    if (reg >= 0) {
+      res.outputs[ext] = regfile[reg];
     } else if (valueOf.count(id)) {
       res.outputs[ext] = valueOf[id];
     } else if (g.node(id).kind == dfg::OpKind::Input) {

@@ -29,7 +29,7 @@ TEST(Datapath, AluOfCoversEveryOperation) {
   const auto r = synth(workloads::diffeq(), 4);
   ASSERT_TRUE(r.feasible) << r.error;
   for (dfg::NodeId op : r.datapath.graph->operations())
-    EXPECT_TRUE(r.datapath.aluOf.count(op));
+    EXPECT_GE(r.datapath.aluIndexOf(op), 0);
 }
 
 TEST(Datapath, RegOfSignalMatchesAllocation) {
@@ -38,8 +38,35 @@ TEST(Datapath, RegOfSignalMatchesAllocation) {
   const Datapath& d = r.datapath;
   for (std::size_t reg = 0; reg < d.regs.registers.size(); ++reg)
     for (std::size_t i : d.regs.registers[reg])
-      EXPECT_EQ(d.regOfSignal.at(d.lifetimes[i].producer),
+      EXPECT_EQ(d.registerOf(d.lifetimes[i].producer),
                 static_cast<int>(reg));
+}
+
+TEST(Datapath, DenseTablesMatchBinding) {
+  const auto r = synth(workloads::diffeq(), 4);
+  ASSERT_TRUE(r.feasible) << r.error;
+  const Datapath& d = r.datapath;
+  const dfg::Dfg& g = *d.graph;
+  for (const AluInstance& a : d.alus)
+    for (dfg::NodeId op : a.ops) EXPECT_EQ(d.aluIndexOf(op), a.index);
+  for (std::size_t reg = 0; reg < d.regs.registers.size(); ++reg)
+    for (std::size_t i : d.regs.registers[reg])
+      EXPECT_EQ(d.registerOf(d.lifetimes[i].producer), static_cast<int>(reg));
+  int constants = 0;
+  for (const dfg::Node& n : g.nodes()) {
+    if (n.kind != dfg::OpKind::Input && n.kind != dfg::OpKind::Const) continue;
+    EXPECT_EQ(d.aluIndexOf(n.id), -1) << n.name;
+    if (n.kind != dfg::OpKind::Const) continue;
+    ++constants;
+    EXPECT_EQ(d.registerOf(n.id), -1) << n.name;  // hardwired, never stored
+  }
+  EXPECT_GT(constants, 0);
+  for (const dfg::NodeId past :
+       {static_cast<dfg::NodeId>(g.size()),
+        static_cast<dfg::NodeId>(g.size() + 1), dfg::kNoNode}) {
+    EXPECT_EQ(d.aluIndexOf(past), -1);
+    EXPECT_EQ(d.registerOf(past), -1);
+  }
 }
 
 TEST(Datapath, PortWiringExistsPerAlu) {

@@ -618,7 +618,7 @@ TEST(LintRtl, SelfLoopFiresUnderStyle2) {  // RTL006
   const rtl::Datapath& d = res.datapath;
   const dfg::NodeId c1 = d.graph->findByName("c1");
   const dfg::NodeId c2 = d.graph->findByName("c2");
-  if (d.aluOf.at(c1) != d.aluOf.at(c2))
+  if (d.aluIndexOf(c1) != d.aluIndexOf(c2))
     GTEST_SKIP() << "chained adds landed on distinct ALUs";
   sched::Constraints c;
   c.timeSteps = 2;
@@ -665,7 +665,7 @@ TEST(LintRtl, MissingRegisterFires) {  // RTL008
   rtl::Datapath d = res.datapath;
   for (const alloc::Lifetime& lt : d.lifetimes) {
     if (!lt.needsRegister) continue;
-    d.regOfSignal.erase(lt.producer);
+    d.regOfSignal[lt.producer] = -1;
     sched::Constraints c;
     c.timeSteps = 4;
     EXPECT_TRUE(fires(lintDatapath(d, c, rtl::DesignStyle::Unrestricted),
@@ -679,7 +679,7 @@ TEST(LintRtl, UnconnectedPortFires) {  // RTL009
   auto res = synth(test::smallDiamond(), 3);
   ASSERT_TRUE(res.feasible);
   rtl::Datapath d = res.datapath;
-  for (auto& w : d.leftPort) w.selectOf.clear();  // sever every left operand
+  for (auto& w : d.leftPort) w.selects.clear();  // sever every left operand
   sched::Constraints c;
   c.timeSteps = 3;
   const LintReport r = lintDatapath(d, c, rtl::DesignStyle::Unrestricted);

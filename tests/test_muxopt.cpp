@@ -41,8 +41,32 @@ TEST(MuxOpt, CommutativeSwapImprovesSharing) {
   const dfg::Dfg g = std::move(b).build();
   const auto arr = arrangeInputs(g, {s, a});
   EXPECT_EQ(arr.totalInputs(), 2u);
-  EXPECT_TRUE(arr.swapped.at(a));
-  EXPECT_FALSE(arr.swapped.at(s));
+  EXPECT_TRUE(arr.isSwapped(a));
+  EXPECT_FALSE(arr.isSwapped(s));
+}
+
+TEST(MuxOpt, IsSwappedOnlyForSwappedCommutativeOps) {
+  // The add (y, x) swaps against the sub's pins; the sub, the unary inc,
+  // the inputs and ids the arrangement never saw all read unswapped.
+  dfg::Builder b("bits");
+  const auto x = b.input("x");
+  const auto y = b.input("y");
+  const auto s = b.sub(x, y, "s");
+  const auto a = b.add(y, x, "a");
+  const auto n = b.inc(a, "n");
+  b.output(s, "o1");
+  b.output(n, "o2");
+  const dfg::Dfg g = std::move(b).build();
+  MuxArrangement arr = arrangeInputs(g, {s, a});
+  EXPECT_TRUE(arr.isSwapped(a));
+  EXPECT_FALSE(arr.isSwapped(s));
+  EXPECT_FALSE(arr.isSwapped(x));
+  EXPECT_FALSE(arr.isSwapped(n));  // not bound here
+  EXPECT_FALSE(arr.isSwapped(static_cast<NodeId>(g.size())));
+  EXPECT_FALSE(arr.isSwapped(dfg::kNoNode));
+  appendToArrangement(g, arr, n);  // fixed-order, fresh pin
+  EXPECT_FALSE(arr.isSwapped(n));
+  EXPECT_TRUE(arr.isSwapped(a));
 }
 
 TEST(MuxOpt, PortSignalsFollowTheSwap) {
@@ -58,7 +82,7 @@ TEST(MuxOpt, PortSignalsFollowTheSwap) {
   b.output(n, "o2");
   const dfg::Dfg g = std::move(b).build();
   const auto arr = arrangeInputs(g, {s, a, n});
-  ASSERT_TRUE(arr.swapped.at(a));
+  ASSERT_TRUE(arr.isSwapped(a));
   EXPECT_EQ(arr.portSignals(g.node(a)).left, x);
   EXPECT_EQ(arr.portSignals(g.node(a)).right, y);
   EXPECT_EQ(arr.portSignals(g.node(s)).left, x);
@@ -78,7 +102,7 @@ TEST(MuxOpt, NoSwapWhenNaturalOrderIsAsGood) {
   b.output(a2, "o2");
   const dfg::Dfg g = std::move(b).build();
   const auto arr = arrangeInputs(g, {a1, a2});
-  EXPECT_FALSE(arr.swapped.at(a2));
+  EXPECT_FALSE(arr.isSwapped(a2));
   EXPECT_EQ(arr.totalInputs(), 2u);
 }
 
@@ -158,7 +182,7 @@ TEST(MuxOpt, DeltaCommutativeAppendIsPureIncrement) {
   const auto full = arrangeInputs(g, {s, a});
   EXPECT_EQ(d.left, full.left.size());
   EXPECT_EQ(d.right, full.right.size());
-  EXPECT_EQ(d.swapped, full.swapped.at(a));
+  EXPECT_EQ(d.swapped, full.isSwapped(a));
 }
 
 TEST(MuxOpt, DeltaPinnedFixedOrderAddsNoSignals) {
@@ -252,7 +276,7 @@ TEST(MuxOpt, DeltaMatchesBatchOnSystematicOpMixes) {
       ASSERT_EQ(d.right, full.right.size())
           << g.name() << " appending " << g.node(next).name;
       if (!d.rebuilt) {
-        EXPECT_EQ(d.swapped, full.swapped.at(next));
+        EXPECT_EQ(d.swapped, full.isSwapped(next));
       }
     }
   }
