@@ -450,6 +450,7 @@ class Prover {
   /// Returns false when a chained read must wait for another issue of this
   /// step (caller retries later in the worklist round).
   bool executeOp(const rtl::MicroOp& m, int t, bool allowDefer) {
+    trace::bump(trace::Counter::ProveIssueAttempts);
     const dfg::Node& n = g_.node(m.op);
     const alloc::MuxArrangement::Ports p =
         d_.arrangement[static_cast<std::size_t>(m.alu)].portSignals(n);

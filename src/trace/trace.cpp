@@ -50,6 +50,7 @@ std::string_view counterName(Counter c) {
     case Counter::DfgCsrEdges: return "dfg.csrEdges";
     case Counter::VerifyCells: return "verify.cells";
     case Counter::StaPathLines: return "sta.pathLines";
+    case Counter::ProveIssueAttempts: return "prove.issueAttempts";
     case Counter::kCount: break;
   }
   return "?";

@@ -62,6 +62,7 @@ enum class Counter : int {
   DfgCsrEdges,            ///< CSR edges laid out across all freezes
   VerifyCells,            ///< cells + same-cell pairs of the occupancy sweep
   StaPathLines,           ///< timing path lines formatted for reported paths
+  ProveIssueAttempts,     ///< prove's issue executions, chained retries included
   kCount
 };
 

@@ -16,6 +16,7 @@
 #include "analysis/rtl_rules.h"
 #include "analysis/sched_rules.h"
 #include "analysis/timing/sta.h"
+#include "analysis/validate/validate.h"
 #include "celllib/ncr_like.h"
 #include "core/frames.h"
 #include "core/grid.h"
@@ -222,6 +223,45 @@ TEST(Scale, VerifyCellsGrowLinearlyInN) {
     }
     EXPECT_LE(cells[1], cells[0] * 22 / 10) << "topology " << static_cast<int>(topo);
     EXPECT_GE(cells[1], cells[0]) << "topology " << static_cast<int>(topo);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// prove executes each issue once, plus a retry per wait of a chained read
+// on its producer's issue in the same step, so its issue attempts at 2N
+// ops stay within 2.2x those at N, plain and chained.
+
+TEST(Scale, ProveAttemptsGrowLinearlyInN) {
+  const CounterScope counters;
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  for (const bool chained : {false, true}) {
+    for (const auto topo : {workloads::DfgTopology::Conv,
+                            workloads::DfgTopology::Lstm,
+                            workloads::DfgTopology::Transformer}) {
+      std::uint64_t attempts[2];
+      const int sizes[2] = {5000, 10000};
+      for (int i = 0; i < 2; ++i) {
+        workloads::RandomDfgOptions opt;
+        opt.topology = topo;
+        opt.numOps = sizes[i];
+        opt.layerWidth = 64;
+        opt.seed = 7;
+        const dfg::Dfg g = workloads::randomDfg(opt);
+        core::MfsaOptions mo;
+        mo.constraints.allowChaining = chained;
+        mo.constraints.clockNs = 200.0;
+        mo.constraints.timeSteps =
+            sched::computeTimeFrames(g, mo.constraints)->criticalSteps();
+        const core::MfsaResult r = core::runMfsa(g, lib, mo);
+        ASSERT_TRUE(r.feasible) << r.error;
+        const std::uint64_t a0 = counter(trace::Counter::ProveIssueAttempts);
+        EXPECT_TRUE(analysis::proveDatapath(r.datapath).empty());
+        attempts[i] = counter(trace::Counter::ProveIssueAttempts) - a0;
+        EXPECT_GE(attempts[i], g.operations().size());
+      }
+      EXPECT_LE(attempts[1], attempts[0] * 22 / 10)
+          << "topology " << static_cast<int>(topo) << " chained " << chained;
+    }
   }
 }
 
