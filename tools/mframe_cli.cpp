@@ -920,7 +920,10 @@ int runProve(const Cli& cli, const dfg::Dfg& g) {
 }
 
 /// Reference-free RTL audit of a synthesized (or .bind-loaded) design:
-/// symbolic FSM reachability plus the AUD safety analyses.
+/// symbolic FSM reachability plus the AUD safety analyses. When the audit
+/// finds no error, the datapath lint runs as in `prove`, so a structural
+/// defect the AUD rules cannot see (two ops overlapping on one ALU, a
+/// register shared by overlapping lifetimes) is still a finding.
 int runAudit(const Cli& cli, const dfg::Dfg& g) {
   const celllib::CellLibrary lib = loadLibrary(cli);
   std::string how, err;
@@ -951,6 +954,11 @@ int runAudit(const Cli& cli, const dfg::Dfg& g) {
     r = analysis::audit::auditDesign(bound->datapath, bound->fsm, bound->rom,
                                      ao);
   }
+  if (!r.report.hasErrors())
+    if (analysis::LintReport lint = analysis::lintDatapath(
+            bound->datapath, cli.constraints, cli.style);
+        lint.hasErrors())
+      r.report.merge(std::move(lint));
 
   if (cli.jsonOut) {
     std::printf("%s", analysis::audit::renderAuditJson(r, g).c_str());
