@@ -12,13 +12,9 @@ namespace mframe::analysis::criticality {
 
 namespace {
 
-// Scores live on a fixed 1e-6 grid so the lattice has finitely many values
-// per node, equality is exact, and the fixpoint is bit-identical across
-// runs/platforms regardless of evaluation order.
+// Scores live on a fixed 1e-6 grid so equality is exact and the ranking is
+// bit-identical across runs and platforms.
 double quantize(double v) { return std::round(v * 1e6) / 1e6; }
-
-/// Top of the score lattice: worst seed (2.0) plus every bonus.
-constexpr double kTopScore = 2.25;
 
 /// Per-dependence-hop decay of a propagated score.
 constexpr double kDecay = 0.9;
@@ -28,24 +24,15 @@ constexpr double kThreshold = 0.5;
 
 /// Backward max-propagation with decay. `base[n]` holds the node's own seed
 /// severity plus its structural bonus; a node's score is the larger of its
-/// own base and the decayed best score among its consumers. Monotone: base
-/// is constant and max/decay are monotone in the deps.
+/// own base and the decayed best score among its consumers.
 struct CriticalityDomain {
   using Value = double;
   const std::vector<double>& base;
-
-  Value initial(const dfg::Node& n) const { return quantize(base[n.id]); }
 
   Value transfer(const dfg::Node& n, const std::vector<Value>& deps) const {
     double best = 0.0;
     for (double d : deps) best = std::max(best, d);
     return quantize(std::max(base[n.id], kDecay * best));
-  }
-
-  static Value widen(const Value& previous, const Value& next) {
-    (void)previous;
-    (void)next;
-    return kTopScore;  // jump straight to top; a DAG never gets here
   }
 };
 
@@ -110,7 +97,6 @@ CriticalityResult analyzeCriticality(const rtl::Datapath& d,
   auto fix = dataflow::solve(g, domain, dataflow::Direction::Backward);
   r.score = std::move(fix.values);
   r.engineVisits = fix.visits;
-  r.widened = fix.widened;
 
   for (const dfg::NodeId op : g.operations()) {
     r.ranked.push_back(op);

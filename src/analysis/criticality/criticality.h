@@ -6,7 +6,7 @@
 // analysis knows which operations have no freedom to move, and the dataflow
 // passes know which operations are foldable or dead weight. This pass fuses
 // all three into a single per-operation *criticality score*: a backward
-// lattice propagation (on the PR 4 monotone engine) from the violating
+// propagation (one sweep of the dataflow engine) from the violating
 // endpoints toward their transitive producers, decaying with distance and
 // boosted where the schedule or the dataflow facts say an op is pinned.
 //
@@ -42,8 +42,7 @@ struct CriticalityResult {
   std::vector<dfg::NodeId> ranked;
   /// Operations with score >= 0.5, ascending id.
   std::vector<dfg::NodeId> critical;
-  int engineVisits = 0;  ///< monotone-engine node evaluations
-  bool widened = false;  ///< widening threshold fired (never on a DAG)
+  int engineVisits = 0;  ///< dataflow-engine node evaluations
 
   std::string toString(const dfg::Dfg& g) const;
 };
@@ -51,8 +50,8 @@ struct CriticalityResult {
 /// Fuse STA endpoints, schedule slack and (optionally) dataflow findings
 /// into per-op criticality. `d` must be the datapath `timing` was computed
 /// from; `slack` must cover the same schedule. Deterministic for a given
-/// input — the propagation runs on the monotone engine with quantized
-/// scores, so results are bit-identical across runs.
+/// input — the propagation is one sweep over quantized scores, so results
+/// are bit-identical across runs.
 CriticalityResult analyzeCriticality(const rtl::Datapath& d,
                                      const timing::TimingReport& timing,
                                      const sched::SlackReport& slack,

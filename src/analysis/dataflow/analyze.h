@@ -28,7 +28,7 @@ struct DataflowResult {
   std::vector<char> demand;
   std::vector<char> needed;
   std::vector<DuplicateGroup> duplicates;
-  int engineVisits = 0;  ///< total node evaluations across all fixpoints
+  int engineVisits = 0;  ///< total node evaluations across all passes
   LintReport report;     ///< the OPT diagnostics
 };
 

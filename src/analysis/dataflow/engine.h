@@ -1,50 +1,44 @@
-// Generic monotone dataflow engine over a DFG.
+// Dataflow engines: a one-sweep solver over a DFG and a worklist solver
+// over graphs that may loop.
 //
-// The classic worklist algorithm, parameterized over a Domain that supplies
-// the lattice: an initial value per node, a transfer function combining the
-// values of a node's dependences, equality, and a widening operator. The
-// engine walks forward (dependences = data inputs) or backward (dependences
-// = consumers) and iterates to a fixpoint.
-//
-// On a DAG seeded in topological id order the fixpoint is reached in one
-// sweep; the worklist and the widening hook exist so the engine stays total
-// and terminating for any monotone domain on any graph shape (the widening
-// threshold caps how often one node may be revisited before its value is
-// forced up the lattice).
+// solve() is parameterized over a Domain that supplies the transfer
+// function. Node ids of a valid DFG are topological (validate() rejects an
+// input id not below the node's own), so one pass in id order computes the
+// solution: ascending for a forward pass (dependences = data inputs),
+// descending for a backward one (dependences = consumers). Each node's
+// transfer runs once, on the final values of its dependences. A graph out
+// of that order is refused with std::invalid_argument naming the node.
 //
 // Domain concept:
 //   struct D {
 //     using Value = ...;
-//     Value initial(const dfg::Node& n) const;
 //     Value transfer(const dfg::Node& n, const std::vector<Value>& deps) const;
-//     Value widen(const Value& previous, const Value& next) const;
 //   };
-// (widen may be static — it is invoked through the domain object, so
-// domains that need configuration, like a word mask, can make it a member.)
-// Value must be equality-comparable. `deps` holds, in order, the values of
-// n.inputs (forward) or of the consumers of n (backward).
+// `deps` holds, in order, the values of n.inputs (forward) or of the
+// consumers of n (backward).
 #pragma once
 
 #include <deque>
+#include <stdexcept>
 #include <vector>
 
 #include "dfg/dfg.h"
 #include "trace/trace.h"
+#include "util/strings.h"
 
 namespace mframe::analysis::dataflow {
 
 enum class Direction : unsigned char { Forward, Backward };
 
-/// Fixpoint solution plus the work the engine did to reach it.
+/// Solution plus the work the engine did to reach it.
 template <typename Value>
 struct FixpointResult {
   std::vector<Value> values;  ///< one per node, indexed by NodeId
-  int visits = 0;             ///< total node evaluations until fixpoint
-  bool widened = false;       ///< true when the widening threshold fired
+  int visits = 0;             ///< total node evaluations
 };
 
-/// Revisits of one node before widen() is applied. Generous: a DAG pass
-/// never gets near it, and monotone domains converge long before.
+/// Revisits of one node before solveGraph applies widen(). Generous:
+/// monotone domains converge long before.
 inline constexpr int kWidenThreshold = 64;
 
 template <typename Domain>
@@ -53,72 +47,48 @@ FixpointResult<typename Domain::Value> solve(const dfg::Dfg& g,
                                              Direction dir) {
   using Value = typename Domain::Value;
   const std::size_t n = g.size();
+  const bool forward = dir == Direction::Forward;
 
   FixpointResult<Value> r;
-  r.values.reserve(n);
-  for (dfg::NodeId id = 0; id < n; ++id)
-    r.values.push_back(domain.initial(g.node(id)));
-
-  // Seed every node in dependence order so the first sweep is already the
-  // topological pass (node ids are topologically ordered by construction).
-  std::deque<dfg::NodeId> work;
-  std::vector<char> queued(n, 1);
-  std::vector<int> revisits(n, 0);
-  if (dir == Direction::Forward) {
-    for (dfg::NodeId id = 0; id < n; ++id) work.push_back(id);
-  } else {
-    for (dfg::NodeId id = 0; id < n; ++id)
-      work.push_back(static_cast<dfg::NodeId>(n - 1 - id));
-  }
-
+  r.values.resize(n);
   std::vector<Value> deps;
-  while (!work.empty()) {
-    const dfg::NodeId id = work.front();
-    work.pop_front();
-    queued[id] = 0;
-    ++r.visits;
-
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<dfg::NodeId>(forward ? i : n - 1 - i);
     const dfg::Node& node = g.node(id);
     deps.clear();
-    if (dir == Direction::Forward) {
-      for (dfg::NodeId in : node.inputs) deps.push_back(r.values[in]);
+    if (forward) {
+      for (dfg::NodeId in : node.inputs) {
+        if (in >= id)
+          throw std::invalid_argument(util::format(
+              "dataflow: node '%s' (id %u) reads node %u, which is not "
+              "below it (graph not in topological order)",
+              node.name.c_str(), id, in));
+        deps.push_back(r.values[in]);
+      }
     } else {
-      for (dfg::NodeId out : g.succs(id)) deps.push_back(r.values[out]);
+      for (dfg::NodeId out : g.succs(id)) {
+        if (out <= id)
+          throw std::invalid_argument(util::format(
+              "dataflow: node '%s' (id %u) feeds node %u, which is not "
+              "above it (graph not in topological order)",
+              node.name.c_str(), id, out));
+        deps.push_back(r.values[out]);
+      }
     }
-
-    Value next = domain.transfer(node, deps);
-    if (next == r.values[id]) continue;
-    if (++revisits[id] > kWidenThreshold) {
-      next = domain.widen(r.values[id], next);
-      r.widened = true;
-      if (next == r.values[id]) continue;
-    }
-    r.values[id] = next;
-
-    // The value changed: everything depending on it must be recomputed.
-    if (dir == Direction::Forward) {
-      for (dfg::NodeId out : g.succs(id))
-        if (!queued[out]) {
-          queued[out] = 1;
-          work.push_back(out);
-        }
-    } else {
-      for (dfg::NodeId in : node.inputs)
-        if (!queued[in]) {
-          queued[in] = 1;
-          work.push_back(in);
-        }
-    }
+    r.values[id] = domain.transfer(node, deps);
   }
+  r.visits = static_cast<int>(n);
   trace::bump(trace::Counter::DataflowWorklistIterations,
-              static_cast<std::uint64_t>(r.visits));
-  if (r.widened) trace::bump(trace::Counter::DataflowWidenings);
+              static_cast<std::uint64_t>(n));
   return r;
 }
 
-// Graph-generic variant: the same worklist discipline over an arbitrary
-// dependence graph given as adjacency lists, for clients whose nodes are not
-// DFG nodes (the audit's controller step graph, where edges may form loops).
+// Worklist solver over an arbitrary dependence graph given as adjacency
+// lists, for clients whose nodes are not DFG nodes and whose edges may form
+// loops (the controller step graph of audit and range). Every node is
+// seeded in id order; a node whose value changes re-queues its dependents,
+// and a node revisited more than the widening threshold has its value
+// forced up the lattice, so the fixpoint terminates on any graph shape.
 //
 // GraphDomain concept:
 //   struct D {
@@ -127,8 +97,8 @@ FixpointResult<typename Domain::Value> solve(const dfg::Dfg& g,
 //     Value transfer(int node, const std::vector<Value>& deps) const;
 //     static Value widen(const Value& previous, const Value& next);
 //   };
-// `deps` holds the values of deps[node] in list order. Counters are bumped
-// exactly like solve(), so the work lands in dataflow.worklistIterations.
+// `deps` holds the values of deps[node] in list order. Visits land in
+// dataflow.worklistIterations, as solve()'s do.
 //
 // `opt.widenThreshold` lowers the revisit budget before widen() fires —
 // domains with tall lattices (the range analysis' intervals around FSM
@@ -162,6 +132,7 @@ FixpointResult<typename Domain::Value> solveGraph(
   std::vector<int> revisits(n, 0);
   for (int v = 0; v < numNodes; ++v) work.push_back(v);
 
+  bool widened = false;
   std::vector<Value> depVals;
   while (!work.empty()) {
     const int v = work.front();
@@ -177,7 +148,7 @@ FixpointResult<typename Domain::Value> solveGraph(
     if (next == r.values[static_cast<std::size_t>(v)]) continue;
     if (++revisits[static_cast<std::size_t>(v)] > opt.widenThreshold) {
       next = domain.widen(r.values[static_cast<std::size_t>(v)], next);
-      r.widened = true;
+      widened = true;
       if (opt.widenings != nullptr) ++*opt.widenings;
       if (next == r.values[static_cast<std::size_t>(v)]) continue;
     }
@@ -191,7 +162,7 @@ FixpointResult<typename Domain::Value> solveGraph(
   }
   trace::bump(trace::Counter::DataflowWorklistIterations,
               static_cast<std::uint64_t>(r.visits));
-  if (r.widened) trace::bump(trace::Counter::DataflowWidenings);
+  if (widened) trace::bump(trace::Counter::DataflowWidenings);
   return r;
 }
 

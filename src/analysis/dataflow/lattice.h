@@ -4,7 +4,7 @@
 // (Unknown < Const(v) < Varying) for constant propagation, and an interval
 // lattice over the unsigned word domain for value-range / bit-width
 // inference. Both are plain value types; the transfer functions live in
-// passes.cpp and the fixpoint driver in engine.h. Arithmetic on intervals is
+// passes.cpp and the solvers in engine.h. Arithmetic on intervals is
 // deliberately conservative: any operation that may wrap the word width
 // clamps to the full range rather than reasoning about modular wrap-around.
 #pragma once
@@ -88,7 +88,7 @@ inline bool checkedShl(sim::Word a, unsigned sh, sim::Word mask,
 
 /// Closed interval [lo, hi] of unsigned word values, lo <= hi. The top
 /// element is the full range of the analysis word width; there is no
-/// explicit bottom (the engine's Unknown/initial handling covers it).
+/// explicit bottom (each node's value is computed once, from its inputs).
 struct Interval {
   sim::Word lo = 0;
   sim::Word hi = 0;

@@ -22,8 +22,6 @@ struct ConstDomain {
   using Value = ConstValue;
   int width;
 
-  Value initial(const dfg::Node&) const { return ConstValue::unknown(); }
-
   Value transfer(const dfg::Node& n, const std::vector<Value>& deps) const {
     switch (n.kind) {
       case OpKind::Input: return ConstValue::varying();
@@ -49,23 +47,11 @@ struct ConstDomain {
     return ConstValue::constant(
         sim::evalOp(n.kind, a.value, b.isConst() ? b.value : 0, width));
   }
-
-  static Value widen(const Value&, const Value&) {
-    return ConstValue::varying();
-  }
 };
 
 struct RangeDomain {
   using Value = Interval;
   int width;
-
-  Value initial(const dfg::Node& n) const {
-    // Start every node at a constant-zero singleton; the seeded topological
-    // sweep overwrites it before anything reads it.
-    return n.kind == OpKind::Const
-               ? Interval::constant(static_cast<Word>(n.constValue), width)
-               : Interval{0, 0};
-  }
 
   Value transfer(const dfg::Node& n, const std::vector<Value>& deps) const {
     const Interval top = Interval::full(width);
@@ -80,10 +66,6 @@ struct RangeDomain {
     const Interval a = !deps.empty() ? deps[0] : top;
     const Interval b = deps.size() > 1 ? deps[1] : top;
     return intervalTransfer(n.kind, a, b, width);
-  }
-
-  static Value widen(const Value& previous, const Value& next) {
-    return {std::min(previous.lo, next.lo), std::max(previous.hi, next.hi)};
   }
 };
 
@@ -100,8 +82,6 @@ struct DemandDomain {
       if (id < graph.size()) isOutput[id] = 1;
   }
 
-  Value initial(const dfg::Node&) const { return 0; }
-
   /// demand[n]: n executes at run time and reads its operands. Constant-
   /// valued operations fold away, so they demand nothing; leaves never do.
   Value transfer(const dfg::Node& n, const std::vector<Value>& succDemand) const {
@@ -113,8 +93,6 @@ struct DemandDomain {
                ? 1
                : 0;
   }
-
-  static Value widen(const Value&, const Value& next) { return next; }
 };
 
 }  // namespace

@@ -1,4 +1,4 @@
-// The concrete dataflow passes built on the worklist engine:
+// The concrete dataflow passes built on the one-sweep engine (engine.h):
 //
 //   analyzeConstants  — forward constant propagation over evalOp semantics,
 //                       including the absorbing rules (x*0, x&0, x/0) that

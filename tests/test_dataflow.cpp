@@ -1,8 +1,9 @@
-// The dataflow-analysis framework: worklist engine semantics (fixpoint,
-// direction, widening), the four passes (constants, ranges/widths, demand,
-// duplicates), the OPT diagnostics, the applyFixes rewriter — held to the
-// simulator's and the translation validator's standard — and the golden
-// `analyze --json` outputs for the benchmark suite.
+// The dataflow-analysis framework: engine semantics (one sweep per
+// direction, the refusal of a graph out of topological order), the four
+// passes (constants, ranges/widths, demand, duplicates), the OPT
+// diagnostics, the applyFixes rewriter — held to the simulator's and the
+// translation validator's standard — and the golden `analyze --json`
+// outputs for the benchmark suite.
 #include "analysis/dataflow/analyze.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/analyze.h"
 #include "analysis/dataflow/engine.h"
@@ -57,13 +60,14 @@ TEST(DataflowEngine, ForwardFixpointOnDagIsOneSweep) {
   const dfg::Dfg g = test::addChain(6);
   int visits = 0;
   analyzeConstants(g, 16, &visits);
-  // Seeded in topological order, every node settles on first visit.
+  // One sweep in id order visits every node once.
   EXPECT_EQ(visits, static_cast<int>(g.size()));
 }
 
-TEST(DataflowEngine, WideningTerminatesOnCyclicGraphs) {
-  // Hand-build a dependence cycle (validate() would reject it; the engine
-  // must still terminate): inc0 -> inc1 -> inc0.
+TEST(DataflowEngine, RefusesAGraphOutOfTopologicalOrder) {
+  // Hand-build a dependence cycle (validate() rejects it): inc0 -> inc1 ->
+  // inc0. inc0 reads an id above its own, and inc1 feeds an id below its
+  // own, so both sweep directions refuse the graph and name the node.
   dfg::Dfg g("loopy");
   dfg::Node a;
   a.kind = dfg::OpKind::Inc;
@@ -77,11 +81,19 @@ TEST(DataflowEngine, WideningTerminatesOnCyclicGraphs) {
   g.mutableNode(ia).inputs = {ib};
   g.freeze();
 
-  int visits = 0;
-  const auto ranges = analyzeRanges(g, 16, &visits);
-  EXPECT_EQ(ranges[ia], Interval::full(16));
-  EXPECT_EQ(ranges[ib], Interval::full(16));
-  EXPECT_GT(visits, 2 * kWidenThreshold);  // it actually iterated
+  const auto refusal = [](auto&& run) -> std::string {
+    try {
+      run();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(refusal([&] { analyzeRanges(g); }).find("'inc0'"),
+            std::string::npos);
+  const std::vector<ConstValue> varying(g.size(), ConstValue::varying());
+  EXPECT_NE(refusal([&] { analyzeDemand(g, varying); }).find("'inc1'"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -66,13 +66,11 @@ dfg::Dfg wideFanout(int fans) {
 /// Longest-path depth domain: the dataflow engine's one-sweep DAG case.
 struct DepthDomain {
   using Value = int;
-  Value initial(const dfg::Node&) const { return 0; }
   Value transfer(const dfg::Node&, const std::vector<Value>& deps) const {
     int d = 0;
     for (int v : deps) d = std::max(d, v + 1);
     return d;
   }
-  Value widen(const Value&, const Value& next) const { return next; }
 };
 
 std::uint64_t counter(trace::Counter c) { return trace::counterValue(c); }
@@ -111,8 +109,8 @@ TEST(Scale, DeepChainCoreAlgorithmsAreLinear) {
   EXPECT_EQ(cut.coneOps, static_cast<std::size_t>(2 * hops + 1));
   EXPECT_FALSE(cut.cone.validate().has_value());
 
-  // The worklist engine reaches the fixpoint in exactly one sweep: visits ==
-  // nodes, and the counter advances by exactly that (linear, not quadratic).
+  // The engine is one sweep: visits == nodes, and the counter advances by
+  // exactly that (linear, not quadratic).
   const std::uint64_t before = counter(trace::Counter::DataflowWorklistIterations);
   const auto fix = analysis::dataflow::solve(
       g, DepthDomain{}, analysis::dataflow::Direction::Forward);
