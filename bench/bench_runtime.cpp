@@ -28,7 +28,6 @@ void BM_MfsSuite(benchmark::State& state) {
   core::MfsOptions o;
   o.constraints = bc.constraints;
   o.constraints.timeSteps = bc.timeSweep.front();
-  o.traceLiapunov = false;
   for (auto _ : state) {
     auto r = core::runMfs(bc.graph, o);
     benchmark::DoNotOptimize(r.feasible);
@@ -43,7 +42,6 @@ void BM_MfsaSuite(benchmark::State& state) {
   core::MfsaOptions o;
   o.constraints = bc.constraints;
   o.constraints.timeSteps = bc.timeSweep.front();
-  o.traceLiapunov = false;
   for (auto _ : state) {
     auto r = core::runMfsa(bc.graph, lib, o);
     benchmark::DoNotOptimize(r.feasible);
@@ -78,7 +76,6 @@ void BM_MfsEwf(benchmark::State& state) {
   const dfg::Dfg g = workloads::ewfLike();
   core::MfsOptions o;
   o.constraints.timeSteps = static_cast<int>(state.range(0));
-  o.traceLiapunov = false;
   for (auto _ : state) {
     auto r = core::runMfs(g, o);
     benchmark::DoNotOptimize(r.feasible);
@@ -110,7 +107,6 @@ void BM_MfsScaling(benchmark::State& state) {
   const auto tf = sched::computeTimeFrames(g, probe);
   core::MfsOptions mo;
   mo.constraints.timeSteps = tf->criticalSteps() + 3;
-  mo.traceLiapunov = false;
   for (auto _ : state) {
     auto r = core::runMfs(g, mo);
     benchmark::DoNotOptimize(r.feasible);
@@ -130,7 +126,6 @@ void BM_MfsaScaling(benchmark::State& state) {
   const auto tf = sched::computeTimeFrames(g, probe);
   core::MfsaOptions mo;
   mo.constraints.timeSteps = tf->criticalSteps() + 3;
-  mo.traceLiapunov = false;
   for (auto _ : state) {
     auto r = core::runMfsa(g, lib, mo);
     benchmark::DoNotOptimize(r.feasible);

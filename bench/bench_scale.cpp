@@ -75,7 +75,6 @@ void BM_ScaleMfs(benchmark::State& state) {
   const dfg::Dfg& g = cachedGraph(workloads::DfgTopology::Conv, ops);
   core::MfsOptions o;
   o.mode = core::MfsLiapunov::Mode::ResourceConstrained;
-  o.traceLiapunov = false;
   for (auto _ : state) {
     auto r = core::runMfs(g, o);
     benchmark::DoNotOptimize(r.feasible);
@@ -94,7 +93,6 @@ void BM_ScaleMfsa(benchmark::State& state) {
   core::MfsaOptions o;
   sched::Constraints probe;
   o.constraints.timeSteps = sched::computeTimeFrames(g, probe)->criticalSteps();
-  o.traceLiapunov = false;
   // trace::bump is gated; without this the commitsPerOp counter reads 0.
   const bool countersWereOn = trace::countersEnabled();
   trace::enableCounters(true);
@@ -143,7 +141,6 @@ const core::MfsaResult* cachedSynthesis(benchmark::State& state, int ops) {
     sched::Constraints probe;
     o.constraints.timeSteps =
         sched::computeTimeFrames(g, probe)->criticalSteps();
-    o.traceLiapunov = false;
     it = results.emplace(ops, core::runMfsa(g, lib, o)).first;
   }
   if (!it->second.feasible) {

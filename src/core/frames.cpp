@@ -1,6 +1,7 @@
 #include "core/frames.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/strings.h"
 
@@ -38,6 +39,33 @@ std::optional<std::string> unschedulableReason(
           g.node(id).name.c_str(), g.delayOf(id), c.clockNs);
   }
   return std::nullopt;
+}
+
+std::vector<ColumnBudget> columnBudgets(const dfg::Dfg& g,
+                                        const sched::Constraints& c,
+                                        const sched::TimeFrames& tf, int cs,
+                                        bool balanced) {
+  std::vector<ColumnBudget> budgets(dfg::kNumFuTypes);
+  for (std::size_t t = 0; t < dfg::kNumFuTypes; ++t) {
+    const auto ft = static_cast<dfg::FuType>(t);
+    ColumnBudget& b = budgets[t];
+    if (auto lim = c.fuLimit.find(ft); lim != c.fuLimit.end()) {
+      b.max = lim->second;
+      b.userLimited = true;
+    } else {
+      b.max = std::max(1, tf.upperBound(ft));
+    }
+    if (balanced) {
+      const auto nOps = static_cast<int>(g.countOfType(ft));
+      const int even =
+          static_cast<int>(std::ceil(static_cast<double>(nOps) / cs));
+      // Not std::clamp: a type the graph does not use may have a 0 budget.
+      b.current = std::min(std::max(even, 1), b.max);
+    } else {
+      b.current = b.max;
+    }
+  }
+  return budgets;
 }
 
 FrameCalculator::DepCheck FrameCalculator::depOk(const sched::Schedule& s,

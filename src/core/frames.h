@@ -38,6 +38,42 @@ std::optional<std::string> unschedulableReason(
     const dfg::Dfg& g, const sched::Constraints& c,
     const std::set<dfg::FuType>& pipelined);
 
+/// One FU type's column budget, MFS steps 2-3 (Section 3.2), which MFSA
+/// shares (Section 4): the bound max_j on the primary frame's columns and
+/// the in-use count current_j that the redundant frame starts after.
+/// current_j never exceeds max_j.
+struct ColumnBudget {
+  int max = 1;               ///< max_j
+  int current = 1;           ///< current_j
+  bool userLimited = false;  ///< max_j is the user's FU limit
+
+  /// Local rescheduling after an empty move frame (step 4): open one more
+  /// column. At max_j the presumed ASAP/ALAP bound was too tight for this
+  /// priority order; the paper allows a "presummed big number", so max_j
+  /// grows with current_j unless the user set it. At the user's limit
+  /// nothing changes and widen() returns false.
+  bool widen() {
+    if (current < max) {
+      ++current;
+      return true;
+    }
+    if (userLimited) return false;
+    ++max;
+    ++current;
+    return true;
+  }
+};
+
+/// Budgets per FU type (indexed by FuType) for a `cs`-step schedule. max_j
+/// is the user's limit in c.fuLimit, else tf.upperBound (at least 1).
+/// current_j starts at the balanced ceil(N_j / cs), raised to 1 and then
+/// capped at max_j, when `balanced`, else at max_j (every allowed unit
+/// usable at once). A user limit of 0 gives a 0 budget.
+std::vector<ColumnBudget> columnBudgets(const dfg::Dfg& g,
+                                        const sched::Constraints& c,
+                                        const sched::TimeFrames& tf, int cs,
+                                        bool balanced);
+
 class FrameCalculator {
  public:
   FrameCalculator(const dfg::Dfg& g, const sched::Constraints& c,

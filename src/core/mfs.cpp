@@ -1,7 +1,6 @@
 #include "core/mfs.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "core/frames.h"
@@ -16,12 +15,6 @@ namespace {
 
 using dfg::FuType;
 using dfg::NodeId;
-
-struct TypeState {
-  int maxCols = 1;      ///< max_j
-  int current = 1;      ///< current_j
-  bool userLimited = false;
-};
 
 }  // namespace
 
@@ -132,29 +125,10 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
       return res;
     }
 
-    // Step 2: per-type column bounds and initial current_j.
-    std::vector<TypeState> types(dfg::kNumFuTypes);
-    for (std::size_t t = 0; t < dfg::kNumFuTypes; ++t) {
-      const auto ft = static_cast<FuType>(t);
-      auto lim = c.fuLimit.find(ft);
-      if (lim != c.fuLimit.end()) {
-        types[t].maxCols = lim->second;
-        types[t].userLimited = true;
-      } else {
-        types[t].maxCols = std::max(1, tf->upperBound(ft));
-      }
-      if (timeMode) {
-        const auto nOps = static_cast<int>(g.countOfType(ft));
-        const int balanced =
-            static_cast<int>(std::ceil(static_cast<double>(nOps) / cs));
-        // Not std::clamp: a type the graph does not use may have a 0 budget.
-        types[t].current = std::min(std::max(balanced, 1), types[t].maxCols);
-      } else {
-        // Resource mode: all allowed units are immediately usable; the
-        // redundant frame is empty and V = cs*x + y discourages new columns.
-        types[t].current = types[t].maxCols;
-      }
-    }
+    // Step 2: per-type column bounds and initial current_j. Resource mode
+    // makes every allowed unit usable at once: the redundant frame is empty
+    // and V = cs*x + y discourages new columns.
+    std::vector<ColumnBudget> budgets = columnBudgets(g, c, *tf, cs, timeMode);
 
     std::vector<NodeId> priority =
         sched::priorityOrder(g, *tf, opt.priorityRule);
@@ -182,7 +156,8 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
       // n = Max{max_j} in the time-constrained function; recomputed per
       // attempt because an empty move frame may have grown a bound.
       int columnBound = 1;
-      for (const auto& ts : types) columnBound = std::max(columnBound, ts.maxCols);
+      for (const ColumnBudget& b : budgets)
+        columnBound = std::max(columnBound, b.max);
       const MfsLiapunov energy(opt.mode, columnBound, cs);
 
       sched::Schedule s(snap);
@@ -195,16 +170,16 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
       std::vector<double> worstOf(g.size(), 0.0);
       for (NodeId id : *order) {
         const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.kindOf(id)));
-        worstOf[id] = energy.worstValue(types[t].maxCols, cs);
+        worstOf[id] = energy.worstValue(budgets[t].max, cs);
         v += worstOf[id];
       }
-      if (opt.traceLiapunov) res.liapunovTrace.push_back(v);
+      res.liapunovTrace.push_back(v);
 
       bool restart = false;
       for (NodeId id : *order) {
         const auto t = static_cast<std::size_t>(dfg::fuTypeOf(g.kindOf(id)));
         const auto& occ = grid.table(static_cast<FuType>(t));
-        const int colHi = std::min(types[t].current, types[t].maxCols);
+        const int colHi = budgets[t].current;
 
         // Minimum-energy cell of the move frame; step 0 when it is empty.
         // Both walks visit the frame's cells in increasing energy (see
@@ -235,22 +210,16 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
 
         if (bestStep == 0) {
           // Empty/occupied move frame: widen current_j and locally
-          // reschedule (Section 3.2 step 4).
-          if (types[t].current < types[t].maxCols) {
-            ++types[t].current;
-          } else if (timeMode && !types[t].userLimited) {
-            // The presumed ASAP/ALAP upper bound was too tight for this
-            // priority order; the paper allows a "presummed big number", so
-            // grow the bound.
-            ++types[t].maxCols;
-            ++types[t].current;
-          } else if (!timeMode) {
-            csInfeasible = true;  // try a longer schedule
+          // reschedule (Section 3.2 step 4). Resource mode has every unit
+          // open already, so it tries a longer schedule instead.
+          if (!timeMode) {
+            csInfeasible = true;
             break;
-          } else {
+          }
+          if (!budgets[t].widen()) {
             res.error = util::format(
                 "no feasible position for '%s' within %d %s units",
-                g.node(id).name.c_str(), types[t].maxCols,
+                g.node(id).name.c_str(), budgets[t].max,
                 std::string(dfg::fuTypeName(static_cast<FuType>(t))).c_str());
             return res;
           }
@@ -269,7 +238,7 @@ MfsResult runMfs(const dfg::Dfg& g, const MfsOptions& opt) {
         trace::bump(trace::Counter::LiapunovUpdates);
         // Each move strictly decreases the energy.
         v -= worstOf[id] - energy.value(bestCol, bestStep);
-        if (opt.traceLiapunov) res.liapunovTrace.push_back(v);
+        res.liapunovTrace.push_back(v);
       }
       if (restart) continue;
       if (csInfeasible) break;

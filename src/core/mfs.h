@@ -43,10 +43,6 @@ struct MfsOptions {
   /// ops grab the best grid slots). Unknown/duplicate ids are ignored; the
   /// combined list is still made topologically consistent before use.
   std::vector<dfg::NodeId> priorityHint;
-
-  /// Record the Liapunov trace (one value per move) for the monotonicity
-  /// property tests; costs a little memory.
-  bool traceLiapunov = true;
 };
 
 struct MfsResult {

@@ -1,7 +1,6 @@
 #include "core/mfsa.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <set>
 
@@ -124,24 +123,8 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
   // Steps 2-3 of MFS, shared by MFSA: per-type column budgets. current_j
   // starts at the balanced minimum ceil(N_j / cs) and grows only when a move
   // frame comes up empty (local rescheduling).
-  std::vector<int> maxCols(dfg::kNumFuTypes, 1);
-  std::vector<int> current(dfg::kNumFuTypes, 1);
-  std::vector<bool> userLimited(dfg::kNumFuTypes, false);
-  for (std::size_t t = 0; t < dfg::kNumFuTypes; ++t) {
-    const auto ft = static_cast<FuType>(t);
-    auto lim = c.fuLimit.find(ft);
-    if (lim != c.fuLimit.end()) {
-      maxCols[t] = lim->second;
-      userLimited[t] = true;
-    } else {
-      maxCols[t] = std::max(1, tf->upperBound(ft));
-    }
-    const auto nOps = static_cast<int>(g.countOfType(ft));
-    const int balanced =
-        static_cast<int>(std::ceil(static_cast<double>(nOps) / cs));
-    // Not std::clamp: a type the graph does not use may have a 0 budget.
-    current[t] = std::min(std::max(balanced, 1), maxCols[t]);
-  }
+  std::vector<ColumnBudget> budgets =
+      columnBudgets(g, c, *tf, cs, /*balanced=*/true);
 
   const int maxRestarts =
       static_cast<int>(g.size()) * static_cast<int>(dfg::kNumFuTypes) * 8 + 64;
@@ -205,7 +188,7 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
     };
 
     double v = worstContribution * static_cast<double>(order->size());
-    if (opt.traceLiapunov) res.liapunovTrace.push_back(v);
+    res.liapunovTrace.push_back(v);
 
     bool restart = false;
     for (NodeId id : *order) {
@@ -291,7 +274,7 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 
       auto generate = [&] {
         cands.clear();
-        const bool budgetOpen = support[ti] < current[ti];
+        const bool budgetOpen = support[ti] < budgets[ti].current;
         for (AluState& a : alus) {
           const celllib::Module& m = lib.module(a.module);
           if (opt.style == rtl::DesignStyle::NoSelfLoop) {
@@ -350,8 +333,7 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 
       generate();
       const Candidate* chosen = pick();
-      if (!chosen && greedy &&
-          (current[ti] < maxCols[ti] || !userLimited[ti])) {
+      if (!chosen && greedy && budgets[ti].widen()) {
         // Large-graph local rescheduling: widen the column budget in place
         // and retry this one operation — the widening opens a fresh-ALU
         // candidate at the dependency window's first step, so earlier
@@ -367,12 +349,6 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
           return res;
         }
         trace::bump(trace::Counter::MfsaRestarts);
-        if (current[ti] < maxCols[ti]) {
-          ++current[ti];
-        } else {
-          ++maxCols[ti];
-          ++current[ti];
-        }
         generate();
         chosen = pick();
       }
@@ -380,15 +356,10 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
       if (!chosen) {
         // Empty move frame: widen the type's column budget and reschedule
         // locally (Section 3.2 step 4 / Section 4.2).
-        if (current[ti] < maxCols[ti]) {
-          ++current[ti];
-        } else if (!userLimited[ti]) {
-          ++maxCols[ti];
-          ++current[ti];
-        } else {
+        if (!budgets[ti].widen()) {
           res.error = util::format(
               "no feasible MFSA position for '%s' within %d %s ALUs",
-              n.name.c_str(), maxCols[ti],
+              n.name.c_str(), budgets[ti].max,
               std::string(dfg::fuTypeName(type)).c_str());
           return res;
         }
@@ -450,7 +421,7 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
       res.termsOf[id] = chosen->terms;
       trace::bump(trace::Counter::LiapunovUpdates);
       v -= worstContribution - chosen->f;
-      if (opt.traceLiapunov) res.liapunovTrace.push_back(v);
+      res.liapunovTrace.push_back(v);
     }
     if (restart) continue;
 

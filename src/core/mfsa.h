@@ -60,8 +60,6 @@ struct MfsaOptions {
 
   InterconnectStyle interconnect = InterconnectStyle::Mux;
   rtl::BusCostModel busModel;  ///< consulted when interconnect == Bus
-
-  bool traceLiapunov = true;
 };
 
 struct MfsaResult {

@@ -85,7 +85,6 @@ ExploreResult explore(const dfg::Dfg& g, const celllib::CellLibrary& lib,
                 opt.priorityRule = cand.priorityRule;
                 opt.interconnect = cand.interconnect;
                 opt.style = cand.style;
-                opt.traceLiapunov = false;
                 const core::MfsaResult res = core::runMfsa(g, lib, opt);
                 cand.feasible = res.feasible;
                 cand.error = res.error;

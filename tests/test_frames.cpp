@@ -222,5 +222,91 @@ TEST(Frames, UnschedulableReasonNamesTheBlocker) {
                    .has_value());
 }
 
+// ---------------------------------------------------------------------------
+// ColumnBudget: MFS steps 2-3, shared by MFSA
+
+TEST(ColumnBudget, WidenOpensCurrentBelowMax) {
+  for (const bool userLimited : {false, true}) {
+    ColumnBudget b{.max = 3, .current = 1, .userLimited = userLimited};
+    EXPECT_TRUE(b.widen());
+    EXPECT_EQ(b.current, 2);
+    EXPECT_EQ(b.max, 3);
+  }
+}
+
+TEST(ColumnBudget, WidenGrowsMaxWithoutAUserLimit) {
+  ColumnBudget b{.max = 2, .current = 2, .userLimited = false};
+  EXPECT_TRUE(b.widen());
+  EXPECT_EQ(b.max, 3);
+  EXPECT_EQ(b.current, 3);
+}
+
+TEST(ColumnBudget, WidenChangesNothingAtTheUserLimit) {
+  ColumnBudget b{.max = 2, .current = 2, .userLimited = true};
+  EXPECT_FALSE(b.widen());
+  EXPECT_EQ(b.max, 2);
+  EXPECT_EQ(b.current, 2);
+}
+
+TEST(ColumnBudget, BalancedBudgetsStartAtTheEvenShare) {
+  // Nine independent additions in two steps: ASAP and ALAP both stack all
+  // nine in one step, so max_j = 9 and the even share is ceil(9/2) = 5.
+  const dfg::Dfg g = test::addParallel(9);
+  sched::Constraints c;
+  c.timeSteps = 2;
+  const auto tf = sched::computeTimeFrames(g, c);
+  ASSERT_TRUE(tf.has_value());
+  const auto adder = static_cast<std::size_t>(dfg::FuType::Adder);
+  const auto mult = static_cast<std::size_t>(dfg::FuType::Multiplier);
+
+  auto budgets = columnBudgets(g, c, *tf, 2, /*balanced=*/true);
+  ASSERT_EQ(budgets.size(), dfg::kNumFuTypes);
+  EXPECT_EQ(budgets[adder].max, 9);
+  EXPECT_EQ(budgets[adder].current, 5);
+  EXPECT_FALSE(budgets[adder].userLimited);
+  // An unused type gets max_j = 1, and its share 0 is raised to 1.
+  EXPECT_EQ(budgets[mult].max, 1);
+  EXPECT_EQ(budgets[mult].current, 1);
+
+  // The share is clamped to max_j: the user's limit of 3 caps it.
+  c.fuLimit[dfg::FuType::Adder] = 3;
+  budgets = columnBudgets(g, c, *tf, 2, /*balanced=*/true);
+  EXPECT_EQ(budgets[adder].max, 3);
+  EXPECT_EQ(budgets[adder].current, 3);
+  EXPECT_TRUE(budgets[adder].userLimited);
+}
+
+TEST(ColumnBudget, UnbalancedBudgetsStartAtMax) {
+  const dfg::Dfg g = test::addParallel(9);
+  sched::Constraints c;
+  c.timeSteps = 2;
+  c.fuLimit[dfg::FuType::Subtractor] = 4;
+  const auto tf = sched::computeTimeFrames(g, c);
+  ASSERT_TRUE(tf.has_value());
+  const auto budgets = columnBudgets(g, c, *tf, 2, /*balanced=*/false);
+  for (const ColumnBudget& b : budgets) EXPECT_EQ(b.current, b.max);
+  EXPECT_EQ(budgets[static_cast<std::size_t>(dfg::FuType::Adder)].max, 9);
+  EXPECT_EQ(budgets[static_cast<std::size_t>(dfg::FuType::Subtractor)].max,
+            4);
+}
+
+TEST(ColumnBudget, ZeroUserLimitGivesAZeroBudget) {
+  const dfg::Dfg g = test::smallDiamond();
+  sched::Constraints c;
+  c.timeSteps = 4;
+  c.fuLimit[dfg::FuType::Divider] = 0;
+  const auto tf = sched::computeTimeFrames(g, c);
+  ASSERT_TRUE(tf.has_value());
+  for (const bool balanced : {true, false}) {
+    auto budgets = columnBudgets(g, c, *tf, 4, balanced);
+    ColumnBudget& div = budgets[static_cast<std::size_t>(dfg::FuType::Divider)];
+    EXPECT_EQ(div.max, 0);
+    EXPECT_EQ(div.current, 0);
+    EXPECT_FALSE(div.widen());
+    EXPECT_EQ(div.max, 0);
+    EXPECT_EQ(div.current, 0);
+  }
+}
+
 }  // namespace
 }  // namespace mframe::core

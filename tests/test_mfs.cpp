@@ -212,15 +212,6 @@ TEST(Mfs, LiapunovTraceIsMonotoneDecreasing) {
   EXPECT_LT(r.liapunovTrace.back(), r.liapunovTrace.front());
 }
 
-TEST(Mfs, TraceDisabledWhenRequested) {
-  MfsOptions o;
-  o.constraints.timeSteps = 4;
-  o.traceLiapunov = false;
-  const auto r = runMfs(workloads::diffeq(), o);
-  ASSERT_TRUE(r.feasible);
-  EXPECT_TRUE(r.liapunovTrace.empty());
-}
-
 TEST(Mfs, BalancedScheduleMatchesCeilBound) {
   // n independent same-type ops in cs steps can always reach ceil(n/cs).
   for (int n : {4, 6, 9}) {

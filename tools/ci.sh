@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Full local CI sweep: build and test the tree four times — plain,
 # instrumented with AddressSanitizer+UBSan, instrumented with
-# ThreadSanitizer (the explorer's worker threads and the audit/range
-# parallel per-state scans are the repo's only concurrency, so the TSan
-# tree runs just those tests), and instrumented
-# with UBSan alone for the checked-arithmetic interval code — then run
-# clang-tidy over the sources with warnings promoted to errors. This is the
-# same gauntlet the validator and lint fixtures are developed against; a
-# clean run means "safe to push".
+# ThreadSanitizer (the explorer's worker threads, tune's candidate race,
+# the audit/range parallel per-state scans and threads sharing one frozen
+# DFG are the repo's only concurrency, so the TSan tree runs just those
+# tests), and instrumented with UBSan alone for the checked-arithmetic
+# interval code — then run clang-tidy over the sources with warnings
+# promoted to errors. This is the same gauntlet the validator and lint
+# fixtures are developed against; a clean run means "safe to push".
 #
 # Usage: tools/ci.sh [jobs]
 #
@@ -44,8 +44,8 @@ run_tree build-ci-asan -DMFRAME_SANITIZE=address,undefined
 
 # ThreadSanitizer tree (TSan and ASan cannot share a binary, hence the third
 # tree). Only the concurrent code is interesting here — the explorer and its
-# thread pool — so build the test binary and run that suite at a high jobs
-# count instead of the whole ctest sweep.
+# thread pool, tune, audit, range and the shared frozen DFG — so build the
+# test binary and run those suites instead of the whole ctest sweep.
 echo "==== configure build-ci-tsan (-DMFRAME_SANITIZE=thread)"
 cmake -B "$repo/build-ci-tsan" -S "$repo" -DMFRAME_SANITIZE=thread
 echo "==== build build-ci-tsan (mframe_tests)"
@@ -70,8 +70,8 @@ cmake --build "$repo/build-ci-tsan" -j "$jobs" --target mframe
 # abort on standard-library misuse such as a std::clamp whose bounds cross
 # (the schedulers' column budgets under a zero FU limit) or an
 # out-of-range vector index. Run the interval/dataflow and range suites,
-# where all of that arithmetic lives, the schedulers' up-front
-# infeasibility tests, and the controller's readers — prove, lint, audit,
+# where all of that arithmetic lives, the column budgets, the schedulers'
+# up-front infeasibility tests, and the controller's readers — prove, lint, audit,
 # the microcode, controller, bus, datapath and Verilog builders — which
 # index ROM rows by field handle and walk the per-step issue and latch rows.
 echo "==== configure build-ci-ubsan (-DMFRAME_SANITIZE=undefined -D_GLIBCXX_ASSERTIONS)"
@@ -81,7 +81,7 @@ echo "==== build build-ci-ubsan (mframe_tests)"
 cmake --build "$repo/build-ci-ubsan" -j "$jobs" --target mframe_tests
 echo "==== interval, dataflow, range, infeasibility and controller-reader checks under UBSan"
 "$repo/build-ci-ubsan/tests/mframe_tests" \
-  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:Bind*:*Unschedulable*:Prove*:Microcode*:LintRtl*:Audit*:Controller*:Verilog*:Bus*:Datapath*' \
+  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:ColumnBudget*:Bind*:*Unschedulable*:Prove*:Microcode*:LintRtl*:Audit*:Controller*:Verilog*:Bus*:Datapath*' \
   --gtest_brief=1
 
 # Scale smoke in the plain tree: a 100k-op random DFG through the full
