@@ -5,8 +5,8 @@
 // balanced schedule (lower = better).
 #include <cstdio>
 
+#include "analysis/sched_rules.h"
 #include "core/mfs.h"
-#include "sched/verify.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "workloads/benchmarks.h"
@@ -30,7 +30,7 @@ std::string runCell(const dfg::Dfg& g, const sched::Constraints& base, int cs,
   o.priorityRule = rule;
   const auto r = core::runMfs(g, o);
   if (!r.feasible) return "inf";
-  const bool ok = sched::verifySchedule(r.schedule, o.constraints).empty();
+  const bool ok = analysis::lintSchedule(r.schedule, o.constraints).empty();
   return util::format("%d%s", totalFu(r), ok ? "" : "!");
 }
 

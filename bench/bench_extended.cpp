@@ -5,13 +5,13 @@
 // for.
 #include <cstdio>
 
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "pipeline/analysis.h"
 #include "rtl/verify.h"
 #include "sched/report.h"
-#include "sched/verify.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "workloads/benchmarks.h"
@@ -59,7 +59,7 @@ int main() {
         continue;
       }
       const bool ok =
-          sched::verifySchedule(mfs.schedule, mo.constraints).empty() &&
+          analysis::lintSchedule(mfs.schedule, mo.constraints).empty() &&
           rtl::verifyDatapath(mfsa.datapath, ao.constraints,
                               rtl::DesignStyle::Unrestricted)
               .empty();

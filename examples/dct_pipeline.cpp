@@ -3,13 +3,13 @@
 // analysis, full MFSA synthesis and the schedule analytics report.
 #include <cstdio>
 
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "pipeline/analysis.h"
 #include "rtl/verify.h"
 #include "sched/report.h"
-#include "sched/verify.h"
 #include "util/strings.h"
 #include "workloads/benchmarks.h"
 
@@ -29,7 +29,7 @@ int main() {
       std::printf("  T=%2d: infeasible (%s)\n", cs, r.error.c_str());
       continue;
     }
-    const bool ok = sched::verifySchedule(r.schedule, o.constraints).empty();
+    const bool ok = analysis::lintSchedule(r.schedule, o.constraints).empty();
     std::string fus;
     for (const auto& [t, n] : r.fuCount)
       fus += std::to_string(n) + std::string(dfg::fuTypeSymbol(t)) + " ";

@@ -3,6 +3,7 @@
 // the complete flow the paper's SYNTEST integration describes (Section 6).
 #include <cstdio>
 
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
@@ -10,7 +11,6 @@
 #include "rtl/controller.h"
 #include "rtl/verify.h"
 #include "rtl/verilog.h"
-#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 int main(int argc, char** argv) {
@@ -33,9 +33,10 @@ int main(int argc, char** argv) {
     std::string fus;
     for (const auto& [t, n] : r.fuCount)
       fus += std::to_string(n) + std::string(dfg::fuTypeSymbol(t)) + " ";
-    const auto bad = sched::verifySchedule(r.schedule, mo.constraints);
+    const auto bad = analysis::lintSchedule(r.schedule, mo.constraints);
     std::printf("  T=%d: %s(%s)\n", cs, fus.c_str(),
-                bad.empty() ? "valid" : bad.front().c_str());
+                bad.empty() ? "valid"
+                            : bad.diagnostics().front().message.c_str());
   }
 
   // MFSA at T=4 with the NCR-like library, both design styles.

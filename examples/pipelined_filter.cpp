@@ -3,10 +3,10 @@
 // multipliers, and (c) functionally pipelined (folded) at several latencies.
 #include <cstdio>
 
+#include "analysis/sched_rules.h"
 #include "core/mfs.h"
 #include "pipeline/functional.h"
 #include "pipeline/structural.h"
-#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 namespace {
@@ -35,9 +35,10 @@ int main() {
       std::printf("  plain T=%d: infeasible (%s)\n", cs, r.error.c_str());
       continue;
     }
-    const auto bad = sched::verifySchedule(r.schedule, mo.constraints);
+    const auto bad = analysis::lintSchedule(r.schedule, mo.constraints);
     std::printf("  plain T=%d: %s(%s)\n", cs, fuString(r.fuCount).c_str(),
-                bad.empty() ? "valid" : bad.front().c_str());
+                bad.empty() ? "valid"
+                            : bad.diagnostics().front().message.c_str());
   }
 
   // (b) structurally pipelined multipliers: a multiplier accepts a new
@@ -52,9 +53,10 @@ int main() {
       std::printf("  structural T=%d: infeasible\n", cs);
       continue;
     }
-    const auto bad = sched::verifySchedule(r.schedule, mo.constraints);
+    const auto bad = analysis::lintSchedule(r.schedule, mo.constraints);
     std::printf("  structural T=%d: %s(%s)\n", cs, fuString(r.fuCount).c_str(),
-                bad.empty() ? "valid" : bad.front().c_str());
+                bad.empty() ? "valid"
+                            : bad.diagnostics().front().message.c_str());
   }
 
   // (c) functional pipelining: a new sample enters every L steps; FU demand
@@ -69,10 +71,11 @@ int main() {
     sched::Constraints vc;
     vc.timeSteps = 16;
     vc.latency = latency;
-    const auto bad = sched::verifySchedule(r.mfs.schedule, vc);
+    const auto bad = analysis::lintSchedule(r.mfs.schedule, vc);
     std::printf("  functional L=%d (T=16): %s(%s)\n", latency,
                 fuString(r.fuCount).c_str(),
-                bad.empty() ? "valid" : bad.front().c_str());
+                bad.empty() ? "valid"
+                            : bad.diagnostics().front().message.c_str());
   }
   return 0;
 }

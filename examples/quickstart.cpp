@@ -3,12 +3,12 @@
 // RTL structure with its cost breakdown.
 #include <cstdio>
 
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "dfg/builder.h"
 #include "rtl/controller.h"
-#include "sched/verify.h"
 
 int main() {
   using namespace mframe;
@@ -37,9 +37,11 @@ int main() {
     return 1;
   }
   std::printf("== MFS ==\n%s", mfs.schedule.toString().c_str());
-  const auto violations = sched::verifySchedule(mfs.schedule, mo.constraints);
+  const auto violations = analysis::lintSchedule(mfs.schedule, mo.constraints);
   std::printf("schedule verification: %s\n",
-              violations.empty() ? "clean" : violations.front().c_str());
+              violations.empty()
+                  ? "clean"
+                  : violations.diagnostics().front().message.c_str());
 
   // --- MFSA: schedule + allocation against the NCR-like library ----------
   const celllib::CellLibrary lib = celllib::ncrLike();

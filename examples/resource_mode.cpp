@@ -3,11 +3,11 @@
 // resource-constrained MFSA growing the schedule until the ALU budget fits.
 #include <cstdio>
 
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "rtl/verify.h"
-#include "sched/verify.h"
 #include "util/strings.h"
 #include "workloads/benchmarks.h"
 
@@ -30,7 +30,7 @@ int main() {
     }
     sched::Constraints vc = o.constraints;
     vc.timeSteps = r.steps;
-    const bool ok = sched::verifySchedule(r.schedule, vc).empty();
+    const bool ok = analysis::lintSchedule(r.schedule, vc).empty();
     std::printf("  %d multiplier(s): %d control steps (%s)\n", muls, r.steps,
                 ok ? "valid" : "INVALID");
   }

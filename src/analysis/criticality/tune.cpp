@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "analysis/sched_rules.h"
 #include "analysis/validate/validate.h"
 #include "core/mfs.h"
 #include "dfg/transforms.h"
@@ -11,7 +12,6 @@
 #include "rtl/datapath.h"
 #include "sched/stitch.h"
 #include "sched/timeframes.h"
-#include "sched/verify.h"
 #include "trace/trace.h"
 #include "util/strings.h"
 
@@ -66,7 +66,7 @@ bool scheduleOk(const sched::Schedule& s, const sched::Constraints& c) {
   sched::Constraints check = c;
   if (check.timeSteps != 0 && s.numSteps() > check.timeSteps)
     check.timeSteps = s.numSteps();
-  return sched::verifySchedule(s, check).empty();
+  return analysis::lintSchedule(s, check).empty();
 }
 
 /// Copy placements from `src` (scheduled against a delay-modified twin of

@@ -88,8 +88,8 @@ class LintReport {
   /// Diagnostics carrying the given rule id.
   std::vector<Diagnostic> byRule(std::string_view rule) const;
 
-  /// Legacy adapter: the bare messages, in emission order (the old
-  /// verifySchedule/verifyDatapath contract).
+  /// The bare messages, in emission order (rtl::verifyDatapath's
+  /// contract).
   std::vector<std::string> messages() const;
 
   /// Multi-line human-readable rendering (one toText() line per diagnostic,

@@ -37,7 +37,7 @@ const std::vector<RuleInfo>& allRules() {
        "declared width outside [1, 64] bits"},
       {kDfgConstWidthOverflow, "dfg", Severity::Error,
        "constant literal does not fit its declared width"},
-      // Schedule family: the structured re-implementation of verifySchedule.
+      // Schedule family: every schedule in the library is re-checked here.
       {kSchedParseFailure, "sched", Severity::Error,
        "schedule file fails to parse against the design"},
       {kSchedUnplaced, "sched", Severity::Error,

@@ -1,10 +1,9 @@
-// Schedule rule family: the structured re-implementation of
-// sched::verifySchedule. Emits one Diagnostic per violation — completeness,
-// range, precedence (with chaining), occupancy (multicycle, pipelined,
-// latency-folded) and resource limits — with the offending node, step and
-// FU column attached. sched::verifySchedule is now a thin adapter over this
-// pass, so the legacy string API (and every test written against it) keeps
-// working unchanged.
+// Schedule rule family: the independent re-check of every schedule the
+// library produces (MFS, MFSA, the baselines, the pipelining transforms,
+// tune's stitched schedules). Emits one Diagnostic per violation —
+// completeness, range, precedence (with chaining), occupancy (multicycle,
+// pipelined, latency-folded) and resource limits — with the offending node,
+// step and FU column attached. An empty report means the schedule is valid.
 #pragma once
 
 #include "analysis/diagnostic.h"
@@ -12,9 +11,9 @@
 
 namespace mframe::analysis {
 
-/// Run every schedule rule over `s` against `c`. Mirrors the legacy
-/// contract: when completeness/range rules fire, the remaining passes are
-/// skipped (they assume a complete placement).
+/// Run every schedule rule over `s` against `c`. When completeness/range
+/// rules fire, the remaining passes are skipped (they assume a complete
+/// placement).
 LintReport lintSchedule(const sched::Schedule& s, const sched::Constraints& c);
 
 }  // namespace mframe::analysis

@@ -1,5 +1,5 @@
 // Independent structural verification of a Datapath — the RTL counterpart of
-// sched::verifySchedule. Every MFSA result is re-checked here by the tests.
+// analysis::lintSchedule. Every MFSA result is re-checked here by the tests.
 //
 // This is now a thin adapter over analysis::lintDatapath (the structured
 // diagnostics engine in src/analysis/); tools that want rule ids, severities

@@ -5,7 +5,7 @@
 #include <tuple>
 #include <vector>
 
-#include "sched/verify.h"
+#include "analysis/sched_rules.h"
 #include "util/strings.h"
 
 namespace mframe::sched {
@@ -119,10 +119,11 @@ std::optional<StitchResult> stitchSchedule(const Schedule& full,
   Constraints check = c;
   if (check.timeSteps != 0 && out.numSteps() > check.timeSteps)
     check.timeSteps = out.numSteps();
-  const std::vector<std::string> violations = verifySchedule(out, check);
+  const analysis::LintReport violations = analysis::lintSchedule(out, check);
   if (!violations.empty()) {
     if (error != nullptr)
-      *error = "stitch: merged schedule invalid: " + violations.front();
+      *error = "stitch: merged schedule invalid: " +
+               violations.diagnostics().front().message;
     return std::nullopt;
   }
 

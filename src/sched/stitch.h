@@ -26,8 +26,9 @@ struct StitchResult {
 /// after the original window shift down by the cone's growth; every FU
 /// column is re-assigned left-edge style (by start step, then original
 /// column, then id) so the merged placement is occupancy-clean. The result
-/// is checked with verifySchedule under `c` — on any violation the stitch is
-/// abandoned, *error (when given) describes why, and nullopt is returned.
+/// is checked with analysis::lintSchedule under `c` — on any finding the
+/// stitch is abandoned, *error (when given) describes why, and nullopt is
+/// returned.
 std::optional<StitchResult> stitchSchedule(const Schedule& full,
                                            const Constraints& c,
                                            const dfg::ConeCut& cut,

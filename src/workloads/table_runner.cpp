@@ -2,11 +2,11 @@
 
 #include <chrono>
 
+#include "analysis/sched_rules.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "pipeline/structural.h"
 #include "rtl/verify.h"
-#include "sched/verify.h"
 #include "util/strings.h"
 
 namespace mframe::workloads {
@@ -41,7 +41,7 @@ Table1Row runOne(const BenchmarkCase& bc, int cs, const std::string& variant,
   row.feasible = r.feasible;
   if (r.feasible) {
     row.fuCount = r.fuCount;
-    row.verified = sched::verifySchedule(r.schedule, o.constraints).empty();
+    row.verified = analysis::lintSchedule(r.schedule, o.constraints).empty();
   }
   return row;
 }

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "baseline/fds.h"
 #include "baseline/list_sched.h"
 #include "core/mfs.h"
 #include "helpers.h"
-#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::baseline {
@@ -19,7 +19,7 @@ TEST(ListSched, RespectsResourceLimits) {
   ASSERT_TRUE(r.feasible) << r.error;
   EXPECT_EQ(r.steps, 3);
   c.timeSteps = r.steps;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty());
 }
 
 TEST(ListSched, SerializesOnOneUnit) {
@@ -48,7 +48,7 @@ TEST(ListSched, DiffeqWithTwoMultipliersMatchesMfs) {
   ASSERT_TRUE(r.feasible) << r.error;
   EXPECT_EQ(r.steps, 4);  // same latency MFS achieves
   c.timeSteps = r.steps;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty());
 }
 
 TEST(ListSched, HandlesMulticycle) {
@@ -58,7 +58,7 @@ TEST(ListSched, HandlesMulticycle) {
   const auto r = runListScheduling(workloads::arLattice(), c);
   ASSERT_TRUE(r.feasible) << r.error;
   c.timeSteps = r.steps;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty());
 }
 
 TEST(ListSched, RejectsOpLongerThanLatency) {
@@ -86,7 +86,7 @@ TEST(ListSched, PipelinedMultiplierOverlapsStages) {
   ASSERT_TRUE(r.feasible) << r.error;
   EXPECT_EQ(r.steps, 4);
   c.timeSteps = r.steps;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty());
 }
 
 TEST(Fds, RejectsOpLongerThanLatency) {
@@ -98,7 +98,7 @@ TEST(Fds, RejectsOpLongerThanLatency) {
   c.pipelinedFus.insert(FuType::Multiplier);
   const auto p = runForceDirected(test::multicycleChain(), c);
   ASSERT_TRUE(p.feasible) << p.error;
-  EXPECT_TRUE(sched::verifySchedule(p.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(p.schedule, c).empty());
 }
 
 TEST(Fds, DiffeqAtFourStepsUsesTwoMultipliers) {
@@ -106,7 +106,7 @@ TEST(Fds, DiffeqAtFourStepsUsesTwoMultipliers) {
   c.timeSteps = 4;
   const auto r = runForceDirected(workloads::diffeq(), c);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty());
   EXPECT_EQ(r.schedule.fuCount().at(FuType::Multiplier), 2);
 }
 
@@ -122,7 +122,7 @@ TEST(Fds, BalancesIndependentOps) {
   c.timeSteps = 3;
   const auto r = runForceDirected(test::addParallel(6), c);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty());
   EXPECT_EQ(r.schedule.fuCount().at(FuType::Adder), 2);
 }
 
@@ -133,7 +133,7 @@ TEST(Fds, ValidOnTheWholeSuiteWithoutSpecialFeatures) {
     c.timeSteps = bc.timeSweep.back();
     const auto r = runForceDirected(bc.graph, c);
     ASSERT_TRUE(r.feasible) << bc.id << ": " << r.error;
-    EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty()) << bc.id;
+    EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty()) << bc.id;
   }
 }
 

@@ -1,12 +1,12 @@
 // Tests for the ASAP baseline, slack analysis and the clock explorer.
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "baseline/asap_sched.h"
 #include "core/mfs.h"
 #include "helpers.h"
 #include "sched/clock_explorer.h"
 #include "sched/slack.h"
-#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe {
@@ -19,7 +19,7 @@ TEST(Asap, SchedulesEveryOpAtItsAsapStep) {
   ASSERT_TRUE(r.feasible) << r.error;
   sched::Constraints c;
   c.timeSteps = r.steps;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty());
   EXPECT_EQ(r.steps, 4);
   // ASAP piles all initial multiplications into step 1.
   EXPECT_GE(r.schedule.fuCount().at(FuType::Multiplier), 3);
@@ -35,7 +35,7 @@ TEST(Asap, RejectsOpLongerThanLatency) {
   const auto p = baseline::runAsap(test::multicycleChain(), c);
   ASSERT_TRUE(p.feasible) << p.error;
   c.timeSteps = p.steps;
-  EXPECT_TRUE(sched::verifySchedule(p.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(p.schedule, c).empty());
 }
 
 TEST(Asap, PipelinedMultiplierSharesAColumn) {
@@ -54,7 +54,7 @@ TEST(Asap, PipelinedMultiplierSharesAColumn) {
   ASSERT_TRUE(r.feasible) << r.error;
   EXPECT_EQ(r.schedule.fuCount().at(FuType::Multiplier), 1);
   c.timeSteps = r.steps;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty());
 }
 
 TEST(Asap, MfsBeatsAsapOnBalance) {

@@ -2,13 +2,13 @@
 // through every stage of the flow.
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "rtl/controller.h"
 #include "rtl/verify.h"
 #include "sched/report.h"
-#include "sched/verify.h"
 #include "sim/dfg_eval.h"
 #include "sim/rtl_sim.h"
 #include "util/strings.h"
@@ -43,7 +43,7 @@ TEST(Dct2d, CriticalPathAndSweep) {
     o.constraints.timeSteps = cs;
     const auto r = core::runMfs(g, o);
     ASSERT_TRUE(r.feasible) << "T=" << cs << ": " << r.error;
-    EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+    EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
   }
   // FU demand falls with more time: 32 muls over 8 vs 14 steps.
   core::MfsOptions tight, loose;

@@ -5,6 +5,7 @@
 // sign-off that the structure computes the source DFG.
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "analysis/validate/validate.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
@@ -16,7 +17,6 @@
 #include "rtl/controller.h"
 #include "rtl/verify.h"
 #include "rtl/verilog.h"
-#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe {
@@ -123,7 +123,7 @@ TEST(Integration, ConditionalLoopChainingCombined) {
   o.constraints.timeSteps = 6;
   const auto r = core::runMfs(folded, o);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
 }
 
 TEST(Integration, SerializeBenchmarksRoundTripThroughScheduling) {

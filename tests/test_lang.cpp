@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "lang/lower.h"
 #include "lang/parser.h"
-#include "sched/verify.h"
 #include "sim/dfg_eval.h"
 
 namespace mframe::lang {
@@ -267,7 +267,7 @@ done = l1 + 1;
   o.constraints.timeSteps = 6;
   const auto r = core::runMfs(folded, o);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
 }
 
 TEST(Lower, CompileFlatRejectsLoops) {

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "dfg/builder.h"
 #include "helpers.h"
-#include "sched/verify.h"
 #include "trace/trace.h"
 #include "workloads/benchmarks.h"
 
@@ -56,7 +56,7 @@ TEST(Mfs, SchedulesVerifyCleanAcrossTheSuite) {
       o.constraints.timeSteps = cs;
       const auto r = runMfs(bc.graph, o);
       ASSERT_TRUE(r.feasible) << bc.id << " T=" << cs << ": " << r.error;
-      EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty())
+      EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty())
           << bc.id << " T=" << cs;
     }
   }
@@ -93,7 +93,7 @@ TEST(Mfs, HonorsUserResourceBoundInTimeMode) {
   const auto r = runMfs(test::addParallel(4), o);
   ASSERT_TRUE(r.feasible) << r.error;
   EXPECT_LE(fu(r, FuType::Adder), 2);
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
 }
 
 TEST(Mfs, InfeasibleUnderHardResourceBound) {
@@ -163,7 +163,7 @@ TEST(Mfs, UnschedulableZeroBudgetIsRejectedUpFront) {
     o.constraints.fuLimit[FuType::Divider] = 0;
     const auto r = runMfs(g, o);
     ASSERT_TRUE(r.feasible) << r.error;
-    EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+    EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
   }
 }
 
@@ -175,7 +175,7 @@ TEST(Mfs, ResourceModeMinimizesStepsUnderLimits) {
   const auto r = runMfs(test::addParallel(6), o);
   ASSERT_TRUE(r.feasible) << r.error;
   EXPECT_EQ(r.steps, 3);
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
 }
 
 TEST(Mfs, ResourceModeReachesCriticalPathWithAmpleUnits) {
@@ -200,7 +200,7 @@ TEST(Mfs, ResourceModeStretchesWhenUnitsScarce) {
   const auto r = runMfs(workloads::diffeq(), o);
   ASSERT_TRUE(r.feasible) << r.error;
   EXPECT_GE(r.steps, 6);  // six multiplications serialized on one unit
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
 }
 
 TEST(Mfs, LiapunovTraceIsMonotoneDecreasing) {
@@ -272,7 +272,7 @@ TEST(Mfs, PriorityAblationStillProducesValidSchedules) {
     o.priorityRule = rule;
     const auto r = runMfs(workloads::ewfLike(), o);
     ASSERT_TRUE(r.feasible) << r.error;
-    EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+    EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
   }
 }
 

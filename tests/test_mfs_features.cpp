@@ -2,13 +2,13 @@
 // multicycle operations, pipelining and loop folding.
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "core/mfs.h"
 #include "dfg/builder.h"
 #include "dfg/transforms.h"
 #include "helpers.h"
 #include "pipeline/functional.h"
 #include "pipeline/structural.h"
-#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::core {
@@ -45,7 +45,7 @@ TEST(MfsFeatures, MutuallyExclusiveBranchesShareOneUnit) {
   const auto r = runMfs(g, o);
   ASSERT_TRUE(r.feasible) << r.error;
   EXPECT_EQ(fu(r, FuType::Adder), 1);  // 4 adds, 2 steps, but exclusive arms
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
 }
 
 TEST(MfsFeatures, ChainingMakesTightConstraintFeasible) {
@@ -59,7 +59,7 @@ TEST(MfsFeatures, ChainingMakesTightConstraintFeasible) {
   chain.constraints.clockNs = 100.0;
   const auto r = runMfs(g, chain);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, chain.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, chain.constraints).empty());
   EXPECT_EQ(fu(r, FuType::Adder), 2);
   EXPECT_EQ(fu(r, FuType::Subtractor), 1);
 }
@@ -71,7 +71,7 @@ TEST(MfsFeatures, ChainingAtThreeStepsStillBalanced) {
   o.constraints.clockNs = 100.0;
   const auto r = runMfs(workloads::chained(), o);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
 }
 
 TEST(MfsFeatures, MulticycleOperationsStayContiguous) {
@@ -80,7 +80,7 @@ TEST(MfsFeatures, MulticycleOperationsStayContiguous) {
   const auto r = runMfs(workloads::arLattice(), o);
   ASSERT_TRUE(r.feasible) << r.error;
   // The verifier enforces contiguity + occupancy over both cycles.
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
   const dfg::Dfg& g = r.schedule.graph();
   for (dfg::NodeId id : g.operations()) {
     if (g.node(id).cycles == 2) {
@@ -102,7 +102,7 @@ TEST(MfsFeatures, StructuralPipeliningCutsMultiplierCount) {
   piped.constraints.timeSteps = 17;
   const auto rPiped = runMfs(g, piped);
   ASSERT_TRUE(rPiped.feasible) << rPiped.error;
-  EXPECT_TRUE(sched::verifySchedule(rPiped.schedule, piped.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(rPiped.schedule, piped.constraints).empty());
   EXPECT_LE(fu(rPiped, FuType::Multiplier), fu(rPlain, FuType::Multiplier));
 }
 
@@ -117,7 +117,7 @@ TEST(MfsFeatures, FunctionalPipeliningBoundsFollowLatency) {
     sched::Constraints vc;
     vc.timeSteps = 8;
     vc.latency = latency;
-    EXPECT_TRUE(sched::verifySchedule(r.mfs.schedule, vc).empty());
+    EXPECT_TRUE(analysis::lintSchedule(r.mfs.schedule, vc).empty());
   }
 }
 
@@ -131,7 +131,7 @@ TEST(MfsFeatures, OpLongerThanLatencyIsRejectedAtOnce) {
   o.constraints.pipelinedFus.insert(FuType::Multiplier);
   const auto p = core::runMfs(test::multicycleChain(), o);
   ASSERT_TRUE(p.feasible) << p.error;
-  EXPECT_TRUE(sched::verifySchedule(p.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(p.schedule, o.constraints).empty());
 }
 
 TEST(MfsFeatures, FunctionalPipeliningDiffeq) {
@@ -140,7 +140,7 @@ TEST(MfsFeatures, FunctionalPipeliningDiffeq) {
   sched::Constraints vc;
   vc.timeSteps = 6;
   vc.latency = 3;
-  EXPECT_TRUE(sched::verifySchedule(r.mfs.schedule, vc).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.mfs.schedule, vc).empty());
   // Six multiplications every 3 steps: at least two multipliers.
   EXPECT_GE(r.fuCount.at(FuType::Multiplier), 2);
 }
@@ -194,7 +194,7 @@ TEST(MfsFeatures, FoldedLoopSchedulesAsOneMulticycleOp) {
   // The super-node occupies 3 consecutive steps, then `post` runs.
   EXPECT_GE(r.schedule.stepOf(folded.findByName("post")),
             r.schedule.stepOf(super) + 3);
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
 }
 
 TEST(MfsFeatures, MergedConditionalsReduceWork) {
@@ -206,7 +206,7 @@ TEST(MfsFeatures, MergedConditionalsReduceWork) {
   o.constraints.timeSteps = 2;
   const auto r = runMfs(g, o);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, o.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, o.constraints).empty());
 }
 
 }  // namespace

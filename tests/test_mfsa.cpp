@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "celllib/library_io.h"
 #include "celllib/ncr_like.h"
 #include "dfg/builder.h"
@@ -9,7 +10,6 @@
 #include "rtl/bus.h"
 #include "rtl/controller.h"
 #include "rtl/verify.h"
-#include "sched/verify.h"
 #include "trace/trace.h"
 #include "workloads/benchmarks.h"
 
@@ -52,7 +52,7 @@ TEST(Mfsa, WholeSuiteBothStylesVerifyClean) {
       EXPECT_TRUE(rtl::verifyDatapath(r.datapath, o.constraints, style).empty())
           << bc.id;
       // The underlying schedule also satisfies precedence/timing.
-      auto v = sched::verifySchedule(r.datapath.schedule, o.constraints);
+      auto v = analysis::lintSchedule(r.datapath.schedule, o.constraints).messages();
       // Column semantics differ (global ALU index), so only filter
       // precedence/chaining complaints here.
       for (const auto& msg : v)

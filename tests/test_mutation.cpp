@@ -7,12 +7,12 @@
 #include <random>
 #include <string_view>
 
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "helpers.h"
 #include "rtl/verify.h"
-#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 #include "workloads/random_dfg.h"
 
@@ -55,7 +55,7 @@ class MutationSeeds : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(MutationSeeds, StepCorruptionIsCaught) {
   GoodSchedule gs = makeGood(GetParam());
-  ASSERT_TRUE(sched::verifySchedule(gs.schedule, gs.constraints).empty());
+  ASSERT_TRUE(analysis::lintSchedule(gs.schedule, gs.constraints).empty());
   std::mt19937 rng(GetParam());
   const auto ops = gs.schedule.graph().operations();
 
@@ -69,7 +69,7 @@ TEST_P(MutationSeeds, StepCorruptionIsCaught) {
     if (newStep == oldStep) continue;
     s.place(victim, newStep, s.columnOf(victim));
     ++mutations;
-    if (!sched::verifySchedule(s, gs.constraints).empty()) ++caught;
+    if (!analysis::lintSchedule(s, gs.constraints).empty()) ++caught;
   }
   // Moving an op to a random different step almost always breaks precedence
   // or occupancy; a verifier catching none of them is broken.
@@ -90,7 +90,7 @@ TEST_P(MutationSeeds, ColumnCollisionIsCaught) {
       sched::Schedule s = gs.schedule;
       s.place(b, s.stepOf(a), s.columnOf(a));
       EXPECT_TRUE(
-          mentions(sched::verifySchedule(s, gs.constraints), "occupancy"));
+          mentions(analysis::lintSchedule(s, gs.constraints).messages(), "occupancy"));
       return;
     }
   }
@@ -103,7 +103,7 @@ TEST_P(MutationSeeds, DroppedOpIsCaught) {
   const auto ops = gs.schedule.graph().operations();
   sched::Schedule s = gs.schedule;
   s.unplace(ops[rng() % ops.size()]);
-  const auto v = sched::verifySchedule(s, gs.constraints);
+  const auto v = analysis::lintSchedule(s, gs.constraints).messages();
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v.front().find("not scheduled"), std::string::npos);
 }
@@ -117,7 +117,7 @@ TEST_P(MutationSeeds, TightenedResourceLimitIsCaught) {
   sched::Constraints c = gs.constraints;
   c.fuLimit[type] = used - 1;
   EXPECT_TRUE(
-      mentions(sched::verifySchedule(gs.schedule, c), "resource limit"));
+      mentions(analysis::lintSchedule(gs.schedule, c).messages(), "resource limit"));
 }
 
 TEST_P(MutationSeeds, DatapathRebindIsCaught) {

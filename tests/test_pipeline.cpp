@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "core/mfs.h"
 #include "helpers.h"
 #include "pipeline/functional.h"
 #include "pipeline/structural.h"
-#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::pipeline {
@@ -123,7 +123,7 @@ TEST(Functional, PartitionMaterializationPassesThePlainVerifier) {
     ASSERT_TRUE(r.feasible) << g.name() << ": " << r.error;
     sched::Constraints plain;
     plain.timeSteps = cs + L;
-    const auto bad = sched::verifySchedule(r.doubled, plain);
+    const auto bad = analysis::lintSchedule(r.doubled, plain).messages();
     EXPECT_TRUE(bad.empty()) << g.name() << ": "
                              << (bad.empty() ? "" : bad.front());
   }

@@ -3,12 +3,12 @@
 // paper's theorem demands.
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "celllib/ncr_like.h"
 #include "core/mfs.h"
 #include "core/mfsa.h"
 #include "rtl/controller.h"
 #include "rtl/verify.h"
-#include "sched/verify.h"
 #include "sim/dfg_eval.h"
 #include "sim/rtl_sim.h"
 #include "workloads/random_dfg.h"
@@ -47,7 +47,7 @@ TEST_P(MfsProperty, TimeConstrainedScheduleIsValidAndMonotone) {
   mo.constraints.timeSteps = tf->criticalSteps() + pc.slack;
   const auto r = core::runMfs(g, mo);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, mo.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, mo.constraints).empty());
 
   ASSERT_FALSE(r.liapunovTrace.empty());
   for (std::size_t i = 1; i < r.liapunovTrace.size(); ++i)
@@ -75,7 +75,7 @@ TEST_P(MfsProperty, ResourceModeNeverBeatsCriticalPathAndStaysValid) {
   EXPECT_GE(r.steps, tf->criticalSteps());
   sched::Constraints vc = mo.constraints;
   vc.timeSteps = r.steps;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, vc).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, vc).empty());
 }
 
 TEST_P(MfsProperty, MfsaDatapathVerifiesBothStyles) {
@@ -161,7 +161,7 @@ TEST_P(MfsProperty, FunctionalFoldingStaysValid) {
   mo.constraints.latency = latency;
   const auto r = core::runMfs(g, mo);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, mo.constraints).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, mo.constraints).empty());
 }
 
 TEST_P(MfsProperty, ChainedSchedulesStayValidAndEquivalent) {
@@ -187,7 +187,7 @@ TEST_P(MfsProperty, ChainedSchedulesStayValidAndEquivalent) {
   mo.constraints = c;
   const auto r = core::runMfs(g, mo);
   ASSERT_TRUE(r.feasible) << r.error;
-  EXPECT_TRUE(sched::verifySchedule(r.schedule, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(r.schedule, c).empty());
 
   static const celllib::CellLibrary lib = celllib::ncrLike();
   core::MfsaOptions ao;

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/sched_rules.h"
 #include "core/mfs.h"
 #include "helpers.h"
-#include "sched/verify.h"
 #include "workloads/benchmarks.h"
 
 namespace mframe::sched {
@@ -32,7 +32,7 @@ TEST(ScheduleIo, RoundTripsExactly) {
   // And the reload still verifies.
   Constraints c;
   c.timeSteps = s.numSteps();
-  EXPECT_TRUE(verifySchedule(*again, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(*again, c).empty());
 }
 
 TEST(ScheduleIo, RejectsWrongDesignName) {

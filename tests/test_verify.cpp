@@ -1,4 +1,4 @@
-#include "sched/verify.h"
+#include "analysis/sched_rules.h"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,7 @@ TEST(VerifySchedule, AcceptsValid) {
   const dfg::Dfg g = test::smallDiamond();
   Constraints c;
   c.timeSteps = 3;
-  EXPECT_TRUE(verifySchedule(validDiamond(g), c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(validDiamond(g), c).empty());
 }
 
 TEST(VerifySchedule, FlagsUnscheduledOp) {
@@ -32,7 +32,7 @@ TEST(VerifySchedule, FlagsUnscheduledOp) {
   Schedule s(g);
   s.setNumSteps(3);
   Constraints c;
-  const auto v = verifySchedule(s, c);
+  const auto v = analysis::lintSchedule(s, c).messages();
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v.front().find("not scheduled"), std::string::npos);
 }
@@ -42,7 +42,7 @@ TEST(VerifySchedule, FlagsRangeOverflow) {
   Schedule s = validDiamond(g);
   s.setNumSteps(2);  // f now sits at step 3 > cs
   Constraints c;
-  const auto v = verifySchedule(s, c);
+  const auto v = analysis::lintSchedule(s, c).messages();
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v.front().find("outside"), std::string::npos);
 }
@@ -53,7 +53,7 @@ TEST(VerifySchedule, FlagsPrecedenceViolation) {
   s.place(g.findByName("y"), 1, 1);  // same step as its producer 's'
   Constraints c;
   c.timeSteps = 3;
-  const auto v = verifySchedule(s, c);
+  const auto v = analysis::lintSchedule(s, c).messages();
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v.front().find("precedence"), std::string::npos);
 }
@@ -67,7 +67,7 @@ TEST(VerifySchedule, FlagsOccupancyConflict) {
   s.place(ops[1], 1, 1);  // same adder, same step
   Constraints c;
   c.timeSteps = 1;
-  const auto v = verifySchedule(s, c);
+  const auto v = analysis::lintSchedule(s, c).messages();
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v.front().find("occupancy"), std::string::npos);
 }
@@ -81,7 +81,7 @@ TEST(VerifySchedule, MutuallyExclusiveOpsMayShareACell) {
   s.place(g.findByName("j"), 2, 1);
   Constraints c;
   c.timeSteps = 2;
-  EXPECT_TRUE(verifySchedule(s, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(s, c).empty());
 }
 
 TEST(VerifySchedule, FlagsResourceLimitBreach) {
@@ -94,7 +94,7 @@ TEST(VerifySchedule, FlagsResourceLimitBreach) {
   Constraints c;
   c.timeSteps = 1;
   c.fuLimit[dfg::FuType::Adder] = 1;
-  const auto v = verifySchedule(s, c);
+  const auto v = analysis::lintSchedule(s, c).messages();
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v.front().find("resource limit"), std::string::npos);
 }
@@ -112,7 +112,7 @@ TEST(VerifySchedule, MulticycleOverlapDetected) {
   s.place(g.findByName("m2"), 2, 1);  // occupies 2-3: clash in step 2
   Constraints c;
   c.timeSteps = 3;
-  EXPECT_FALSE(verifySchedule(s, c).empty());
+  EXPECT_FALSE(analysis::lintSchedule(s, c).empty());
 }
 
 TEST(VerifySchedule, PipelinedUnitAllowsOverlapButNotSameStart) {
@@ -130,13 +130,13 @@ TEST(VerifySchedule, PipelinedUnitAllowsOverlapButNotSameStart) {
   ok.setNumSteps(3);
   ok.place(g.findByName("m1"), 1, 1);
   ok.place(g.findByName("m2"), 2, 1);  // overlapped stages: fine
-  EXPECT_TRUE(verifySchedule(ok, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(ok, c).empty());
 
   Schedule bad(g);
   bad.setNumSteps(3);
   bad.place(g.findByName("m1"), 1, 1);
   bad.place(g.findByName("m2"), 1, 1);  // two initiations in one step
-  EXPECT_FALSE(verifySchedule(bad, c).empty());
+  EXPECT_FALSE(analysis::lintSchedule(bad, c).empty());
 }
 
 TEST(VerifySchedule, LatencyFoldingDetectsModuloConflicts) {
@@ -149,13 +149,13 @@ TEST(VerifySchedule, LatencyFoldingDetectsModuloConflicts) {
   const auto ops = g.operations();
   s.place(ops[0], 1, 1);
   s.place(ops[1], 3, 1);  // 3 == 1 (mod 2): conflicts under folding
-  EXPECT_FALSE(verifySchedule(s, c).empty());
+  EXPECT_FALSE(analysis::lintSchedule(s, c).empty());
 
   Schedule ok(g);
   ok.setNumSteps(4);
   ok.place(ops[0], 1, 1);
   ok.place(ops[1], 2, 1);
-  EXPECT_TRUE(verifySchedule(ok, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(ok, c).empty());
 }
 
 TEST(VerifySchedule, ChainingLegalWithinClock) {
@@ -168,7 +168,7 @@ TEST(VerifySchedule, ChainingLegalWithinClock) {
   s.setNumSteps(1);
   s.place(g.findByName("c1"), 1, 1);
   s.place(g.findByName("c2"), 1, 2);
-  EXPECT_TRUE(verifySchedule(s, c).empty());
+  EXPECT_TRUE(analysis::lintSchedule(s, c).empty());
 }
 
 TEST(VerifySchedule, ChainingOverflowFlagged) {
@@ -182,7 +182,7 @@ TEST(VerifySchedule, ChainingOverflowFlagged) {
   s.place(g.findByName("c1"), 1, 1);
   s.place(g.findByName("c2"), 1, 2);
   s.place(g.findByName("c3"), 1, 3);
-  const auto v = verifySchedule(s, c);
+  const auto v = analysis::lintSchedule(s, c).messages();
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v.front().find("chaining"), std::string::npos);
 }
@@ -195,7 +195,7 @@ TEST(VerifySchedule, SameStepDependentsIllegalWithoutChaining) {
   s.setNumSteps(1);
   s.place(g.findByName("c1"), 1, 1);
   s.place(g.findByName("c2"), 1, 2);
-  EXPECT_FALSE(verifySchedule(s, c).empty());
+  EXPECT_FALSE(analysis::lintSchedule(s, c).empty());
 }
 
 }  // namespace

@@ -97,7 +97,6 @@
 #include "rtl/verilog.h"
 #include "sched/report.h"
 #include "sched/schedule_io.h"
-#include "sched/verify.h"
 #include "sim/dfg_eval.h"
 #include "sim/rtl_sim.h"
 #include "trace/trace.h"
@@ -549,11 +548,13 @@ int runSchedule(const Cli& cli, const dfg::Dfg& g) {
   o.priorityRule = cli.priority;
   const auto r = core::runMfs(g, o);
   if (!r.feasible) die("MFS failed: " + r.error);
-  const auto bad = sched::verifySchedule(r.schedule, o.constraints);
+  const analysis::LintReport bad =
+      analysis::lintSchedule(r.schedule, o.constraints);
   std::printf("%s", r.schedule.toString().c_str());
   std::printf("FU allocation: %s\n", fuSummary(r.fuCount).c_str());
   std::printf("verification: %s\n",
-              bad.empty() ? "clean" : bad.front().c_str());
+              bad.empty() ? "clean"
+                          : bad.diagnostics().front().message.c_str());
   if (cli.emitReport)
     std::printf("\n%s", sched::analyzeSchedule(r.schedule).toString().c_str());
   if (cli.emitSlack) {
