@@ -874,6 +874,21 @@ std::optional<analysis::BoundDesign> bindOrSynthesize(
   return analysis::parseBindDesign(g, lib, readFileOrDie(cli.bindPath), &err);
 }
 
+/// The rule prove, audit and range share: after a check whose `report` has
+/// no error, the datapath lint runs, and when it finds an error its report
+/// joins `report`. A structural defect the check does not model (two ops
+/// on one ALU in one step, a register shared by overlapping lifetimes) is
+/// still a finding. Returns true when the lint's report joined.
+bool addDatapathLintErrors(const Cli& cli, const rtl::Datapath& d,
+                           analysis::LintReport& report) {
+  if (report.hasErrors()) return false;
+  analysis::LintReport lint =
+      analysis::lintDatapath(d, cli.constraints, cli.style);
+  if (!lint.hasErrors()) return false;
+  report.merge(std::move(lint));
+  return true;
+}
+
 /// Synthesize (or load a .bind design) and run the translation validator.
 /// The reference-free audit and then the datapath lint run first as fast
 /// paths: their errors are structural defects symbolic execution would only
@@ -898,11 +913,8 @@ int runProve(const Cli& cli, const dfg::Dfg& g) {
     if (audit.report.hasErrors()) {
       how += " (audit fast path)";
       report = audit.report;
-    } else if (analysis::LintReport lint = analysis::lintDatapath(
-                   bound->datapath, cli.constraints, cli.style);
-               lint.hasErrors()) {
+    } else if (addDatapathLintErrors(cli, bound->datapath, report)) {
       how += " (lint fast path)";
-      report = std::move(lint);
     } else {
       report =
           analysis::proveDatapath(bound->datapath, bound->fsm, bound->rom);
@@ -921,10 +933,8 @@ int runProve(const Cli& cli, const dfg::Dfg& g) {
 }
 
 /// Reference-free RTL audit of a synthesized (or .bind-loaded) design:
-/// symbolic FSM reachability plus the AUD safety analyses. When the audit
-/// finds no error, the datapath lint runs as in `prove`, so a structural
-/// defect the AUD rules cannot see (two ops overlapping on one ALU, a
-/// register shared by overlapping lifetimes) is still a finding.
+/// symbolic FSM reachability plus the AUD safety analyses, then the
+/// datapath lint when the audit finds no error (addDatapathLintErrors).
 int runAudit(const Cli& cli, const dfg::Dfg& g) {
   const celllib::CellLibrary lib = loadLibrary(cli);
   std::string how, err;
@@ -955,11 +965,7 @@ int runAudit(const Cli& cli, const dfg::Dfg& g) {
     r = analysis::audit::auditDesign(bound->datapath, bound->fsm, bound->rom,
                                      ao);
   }
-  if (!r.report.hasErrors())
-    if (analysis::LintReport lint = analysis::lintDatapath(
-            bound->datapath, cli.constraints, cli.style);
-        lint.hasErrors())
-      r.report.merge(std::move(lint));
+  addDatapathLintErrors(cli, bound->datapath, r.report);
 
   if (cli.jsonOut) {
     std::printf("%s", analysis::audit::renderAuditJson(r, g).c_str());
@@ -975,7 +981,8 @@ int runAudit(const Cli& cli, const dfg::Dfg& g) {
 
 /// Interval range analysis of a synthesized (or .bind-loaded) design:
 /// per-state width/overflow proofs (WID) over the refined step graph, with
-/// `.bind` assert statements checked as WID005 obligations.
+/// `.bind` assert statements checked as WID005 obligations, then the
+/// datapath lint when no WID error fired (addDatapathLintErrors).
 int runRange(const Cli& cli, const dfg::Dfg& g) {
   const celllib::CellLibrary lib = loadLibrary(cli);
   std::string how, err;
@@ -985,8 +992,9 @@ int runRange(const Cli& cli, const dfg::Dfg& g) {
   analysis::range::RangeOptions ro;
   ro.jobs = checkerJobs(cli);
   ro.asserts = bound->asserts;
-  const analysis::range::RangeResult r = analysis::range::analyzeDesignRanges(
+  analysis::range::RangeResult r = analysis::range::analyzeDesignRanges(
       bound->datapath, bound->fsm, bound->rom, ro);
+  addDatapathLintErrors(cli, bound->datapath, r.report);
 
   if (cli.jsonOut) {
     std::printf("%s", analysis::range::renderRangeJson(r, g).c_str());
