@@ -32,8 +32,6 @@ NodeId Builder::op(OpKind kind, std::vector<NodeId> inputs, std::string name,
   return g_.addNode(std::move(n));
 }
 
-void Builder::setWidth(NodeId id, int width) { g_.mutableNode(id).width = width; }
-
 void Builder::pushBranch(const std::string& condId, const std::string& armId) {
   if (!branchScope_.empty()) branchScope_ += '.';
   branchScope_ += condId + '.' + armId;

@@ -30,9 +30,6 @@ class Builder {
   NodeId input(std::string name, int width = 0);
   NodeId constant(long value, std::string name);
 
-  /// Pin the declared bit width of an already-created node.
-  void setWidth(NodeId id, int width);
-
   /// Generic operation node. `cycles`/`delayNs` override the defaults; the
   /// current branch scope (see pushBranch) is recorded on the node.
   NodeId op(OpKind kind, std::vector<NodeId> inputs, std::string name,

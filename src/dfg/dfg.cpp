@@ -35,12 +35,10 @@ void Dfg::freeze() {
   // SoA attribute mirrors.
   kind_.resize(n);
   cycles_.resize(n);
-  width_.resize(n);
   delay_.resize(n);
   for (const Node& nd : nodes_) {
     kind_[nd.id] = nd.kind;
     cycles_[nd.id] = nd.cycles;
-    width_[nd.id] = nd.width;
     delay_[nd.id] = nd.effectiveDelayNs();
   }
 

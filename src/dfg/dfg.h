@@ -17,7 +17,7 @@
 // graph unfrozen again. Adjacency accessors on an unfrozen graph throw —
 // there is deliberately no lazy rebuild, because a hidden mutable cache
 // under a const API is a data race the moment two threads share a cold
-// graph (explore::parallelFor did exactly that).
+// graph.
 //
 // CSR invariant: node ids are topological (validate() rejects any input id
 // >= the node's own id), so edge arrays are acyclic by construction and a
@@ -143,7 +143,6 @@ class Dfg {
   /// striding through 100+-byte Node records. Frozen graphs only.
   OpKind kindOf(NodeId id) const { return kind_[id]; }
   int cyclesOf(NodeId id) const { return cycles_[id]; }
-  int widthOf(NodeId id) const { return width_[id]; }
   /// Resolved combinational delay (delayNs or the kind default).
   double delayOf(NodeId id) const { return delay_[id]; }
 
@@ -193,7 +192,6 @@ class Dfg {
   // SoA attribute mirrors.
   std::vector<OpKind> kind_;
   std::vector<int> cycles_;
-  std::vector<int> width_;
   std::vector<double> delay_;              // effectiveDelayNs, resolved
 
   std::vector<NodeId> operations_;

@@ -33,10 +33,8 @@ class TimeFrames {
   /// Length of the critical path in control steps (the minimum feasible cs).
   int criticalSteps() const { return criticalSteps_; }
 
-  /// Peak same-type concurrency of the ASAP (resp. ALAP) schedule; the paper
-  /// uses max(ASAP, ALAP) as the FU upper bound when the user gives none.
-  const std::vector<int>& asapPeak() const { return asapPeak_; }
-  const std::vector<int>& alapPeak() const { return alapPeak_; }
+  /// The larger peak same-type concurrency of the ASAP and ALAP schedules,
+  /// the paper's FU upper bound when the user gives none.
   int upperBound(dfg::FuType t) const;
 
   friend std::optional<TimeFrames> computeTimeFrames(const dfg::Dfg& g,
@@ -46,6 +44,7 @@ class TimeFrames {
  private:
   std::vector<TimeFrame> frames_;
   int criticalSteps_ = 0;
+  // Peak same-type concurrency of the ASAP (resp. ALAP) schedule.
   std::vector<int> asapPeak_ = std::vector<int>(dfg::kNumFuTypes, 0);
   std::vector<int> alapPeak_ = std::vector<int>(dfg::kNumFuTypes, 0);
 };
