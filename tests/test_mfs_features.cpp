@@ -102,7 +102,8 @@ TEST(MfsFeatures, StructuralPipeliningCutsMultiplierCount) {
   piped.constraints.timeSteps = 17;
   const auto rPiped = runMfs(g, piped);
   ASSERT_TRUE(rPiped.feasible) << rPiped.error;
-  EXPECT_TRUE(analysis::lintSchedule(rPiped.schedule, piped.constraints).empty());
+  EXPECT_TRUE(
+      analysis::lintSchedule(rPiped.schedule, piped.constraints).empty());
   EXPECT_LE(fu(rPiped, FuType::Multiplier), fu(rPlain, FuType::Multiplier));
 }
 

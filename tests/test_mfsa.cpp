@@ -52,7 +52,8 @@ TEST(Mfsa, WholeSuiteBothStylesVerifyClean) {
       EXPECT_TRUE(rtl::verifyDatapath(r.datapath, o.constraints, style).empty())
           << bc.id;
       // The underlying schedule also satisfies precedence/timing.
-      auto v = analysis::lintSchedule(r.datapath.schedule, o.constraints).messages();
+      auto v =
+          analysis::lintSchedule(r.datapath.schedule, o.constraints).messages();
       // Column semantics differ (global ALU index), so only filter
       // precedence/chaining complaints here.
       for (const auto& msg : v)

@@ -89,8 +89,8 @@ TEST_P(MutationSeeds, ColumnCollisionIsCaught) {
         continue;
       sched::Schedule s = gs.schedule;
       s.place(b, s.stepOf(a), s.columnOf(a));
-      EXPECT_TRUE(
-          mentions(analysis::lintSchedule(s, gs.constraints).messages(), "occupancy"));
+      EXPECT_TRUE(mentions(
+          analysis::lintSchedule(s, gs.constraints).messages(), "occupancy"));
       return;
     }
   }
@@ -116,8 +116,8 @@ TEST_P(MutationSeeds, TightenedResourceLimitIsCaught) {
   const auto& [type, used] = *fu.begin();
   sched::Constraints c = gs.constraints;
   c.fuLimit[type] = used - 1;
-  EXPECT_TRUE(
-      mentions(analysis::lintSchedule(gs.schedule, c).messages(), "resource limit"));
+  EXPECT_TRUE(mentions(analysis::lintSchedule(gs.schedule, c).messages(),
+                       "resource limit"));
 }
 
 TEST_P(MutationSeeds, DatapathRebindIsCaught) {
