@@ -124,6 +124,11 @@ class FrameCalculator {
       if (s == boundaryStep && !aboveOk) return 0;
       return s + 1 <= hi ? s + 1 : 0;
     }
+    /// The feasible steps from firstStep's `s` on are one run; its last
+    /// step: `s` alone when nothing may start above the boundary, else `hi`.
+    int lastStep(int s, int hi) const {
+      return s == boundaryStep && !aboveOk ? s : hi;
+    }
   };
   DepWindow depWindow(const sched::Schedule& s, dfg::NodeId n) const;
 

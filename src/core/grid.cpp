@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 namespace mframe::core {
 
@@ -66,14 +67,78 @@ void ColumnOccupancy::place(dfg::NodeId n, int col, int step) {
   const auto c = static_cast<std::size_t>(col);
   if (c >= cells_.size()) cells_.resize(c + 1);
   std::vector<Cell>& column = cells_[c];
+  // A walked column's skip pointers hop over the cells an unconditional op
+  // fills from now on.
+  std::vector<int>* skip = c < skip_.size() && !skip_[c].empty() &&
+                                   g_->node(n).branchPath.empty()
+                               ? &skip_[c]
+                               : nullptr;
   for (int f : cellsFor(n, col, step)) {
     assert(f >= 0);
     const auto i = static_cast<std::size_t>(f);
     if (i >= column.size()) column.resize(i + 1);
     column[i].push_back(n);
+    if (skip == nullptr) continue;
+    if (i + 1 >= skip->size()) {  // keep an open last entry
+      const int old = static_cast<int>(skip->size());
+      skip->resize(i + 2);
+      std::iota(skip->begin() + old, skip->end(), old);
+    }
+    if ((*skip)[i] == f) (*skip)[i] = f + 1;
   }
   ensureNode(n);
   whereCol_[n] = col;
+}
+
+std::vector<int>& ColumnOccupancy::skipPointers(int col) {
+  const auto c = static_cast<std::size_t>(col);
+  if (c >= skip_.size()) skip_.resize(c + 1);
+  std::vector<int>& skip = skip_[c];
+  if (!skip.empty()) return skip;
+  const std::size_t steps = c < cells_.size() ? cells_[c].size() : 0;
+  skip.resize(steps + 1);
+  std::iota(skip.begin(), skip.end(), 0);
+  for (std::size_t f = 0; f < steps; ++f)
+    for (dfg::NodeId other : cells_[c][f])
+      if (g_->node(other).branchPath.empty()) {
+        skip[f] = static_cast<int>(f) + 1;
+        break;
+      }
+  return skip;
+}
+
+int ColumnOccupancy::nextOpen(std::vector<int>& skip, int step) {
+  // Steps past the array are open. Every pointer leads forward to the last
+  // entry at worst, so halving the path as it goes stays in range.
+  const auto size = static_cast<int>(skip.size());
+  while (step < size && skip[static_cast<std::size_t>(step)] != step) {
+    int& next = skip[static_cast<std::size_t>(step)];
+    next = skip[static_cast<std::size_t>(next)];
+    step = next;
+    ++probes_;
+  }
+  return step;
+}
+
+int ColumnOccupancy::placeableAfter(dfg::NodeId n, int col, int from,
+                                    int to) {
+  assert(!isPlaced(n) && from >= 0);
+  if (latency_ > 0) {
+    // Folded: one cell stands for many steps, so canPlace decides each.
+    // Steps L apart fold onto the same cells, so L steps decide the window.
+    const int last = std::min(to, from + latency_ - 1);
+    for (int s = from + 1; s <= last; ++s) {
+      ++probes_;
+      if (canPlace(n, col, s)) return s;
+    }
+    return 0;
+  }
+  std::vector<int>& skip = skipPointers(col);
+  for (int s = nextOpen(skip, from + 1); s <= to; s = nextOpen(skip, s + 1)) {
+    ++probes_;
+    if (canPlace(n, col, s)) return s;
+  }
+  return 0;
 }
 
 Grid::Grid(const dfg::Dfg& g, const sched::Constraints& c) : g_(&g) {

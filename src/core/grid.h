@@ -20,11 +20,28 @@
 // is two array reads and an emptiness test — no key hashing and no tree
 // walk. Both dimensions grow on demand as ops are placed.
 //
+// firstPlaceable() answers MFSA's per-ALU question — the first step of a
+// window where an op can start — without probing every occupied step on
+// the way. Each column keeps skip pointers, a union-find "next open step"
+// array with path compression, that jump over every cell holding an
+// unconditional op in one hop: such a cell blocks every op, because an op
+// with an empty branch path is mutually exclusive with none. A cell that
+// holds only conditional ops may still take an op of another arm, so the
+// pointers stop there and canPlace() decides, as it decides every landing
+// step. A latency-folded column, where one cell stands for many steps,
+// has no pointers: canPlace() decides each step, and the first L steps of
+// a window decide it all, since steps L apart fold onto the same cells. So
+// the answer is always the step-by-step canPlace walk's. A column's array
+// is built on its first walk past a blocked step and kept up by place()
+// only after that: MFS and the baselines place through Grid and never
+// walk, so they pay nothing for it.
+//
 // MFS and the ASAP, list and FDS baselines compose one ColumnOccupancy per
 // FU type (class Grid); MFSA reuses ColumnOccupancy with one column per
 // allocated ALU instance.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "dfg/dfg.h"
@@ -59,6 +76,21 @@ class ColumnOccupancy {
 
   void place(dfg::NodeId n, int col, int step);
 
+  /// The first step in [from, to] where canPlace(n, col, step) holds, or 0
+  /// when there is none. `n` must not be placed yet: the skip pointers
+  /// treat every unconditional occupant as a conflict, `n` itself included.
+  /// Most walks take their first step, so canPlace tries it before any
+  /// pointer is read.
+  int firstPlaceable(dfg::NodeId n, int col, int from, int to) {
+    if (from > to) return 0;
+    ++probes_;
+    return canPlace(n, col, from) ? from : placeableAfter(n, col, from, to);
+  }
+
+  /// Steps examined by every firstPlaceable() walk so far: the steps
+  /// canPlace() decided plus the skip-pointer hops.
+  std::uint64_t walkProbes() const { return probes_; }
+
   bool isPlaced(dfg::NodeId n) const {
     return n < whereCol_.size() && whereCol_[n] != 0;
   }
@@ -74,12 +106,23 @@ class ColumnOccupancy {
   /// folding aliasing — the hot case that needs no materialized cell list.
   bool plainCells(int col) const { return latency_ <= 0 && !isPipelined(col); }
   void ensureNode(dfg::NodeId n);
+  /// firstPlaceable's walk over (from, to] once `from` is blocked.
+  int placeableAfter(dfg::NodeId n, int col, int from, int to);
+  /// The column's skip pointers, built from its cells on the first call.
+  std::vector<int>& skipPointers(int col);
+  /// The first step >= `step` whose cell holds no unconditional op.
+  int nextOpen(std::vector<int>& skip, int step);
 
   const dfg::Dfg* g_;
   int latency_;
   std::vector<char> pipelined_;             ///< by column
   std::vector<std::vector<Cell>> cells_;    ///< [column][folded step]
   std::vector<int> whereCol_;   ///< by node; 0 = not placed
+  /// [column][step]: the step itself when its cell holds no unconditional
+  /// op, else a later step; the last entry is always open. Empty until
+  /// the column's first walk past a blocked step.
+  std::vector<std::vector<int>> skip_;
+  std::uint64_t probes_ = 0;
 };
 
 /// The 3-D space of MFS and the baselines: one column table per FU type.

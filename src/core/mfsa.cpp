@@ -251,10 +251,18 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
         // delta, which depends on the chosen step.
         const bool mux = opt.interconnect == InterconnectStyle::Mux;
         const int aluIdx = owner ? owner->index : -1;
+        const int first = dw.firstStep(tf->asap(id), tf->alap(id));
+        const int last = dw.lastStep(first, tf->alap(id));
+        // The first dependency-feasible step from `from` on where the ALU
+        // can take the op, 0 when none. The ALU's walk jumps over its full
+        // steps; a fresh ALU is empty.
+        auto open = [&](int from) {
+          if (from == 0 || from > last) return 0;
+          return aluIdx < 0 ? from
+                            : occ.firstPlaceable(id, aluIdx + 1, from, last);
+        };
         std::optional<double> fMux;
-        for (int step = dw.firstStep(tf->asap(id), tf->alap(id)); step != 0;
-             step = dw.nextStep(step, tf->alap(id))) {
-          if (aluIdx >= 0 && !occ.canPlace(id, aluIdx + 1, step)) continue;
+        for (int step = open(first); step != 0; step = open(step + 1)) {
           if (mux && !fMux) fMux = muxTerm(owner);
           Candidate cd;
           cd.alu = aluIdx;
@@ -274,6 +282,7 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
 
       auto generate = [&] {
         cands.clear();
+        const std::uint64_t probes0 = occ.walkProbes();
         const bool budgetOpen = support[ti] < budgets[ti].current;
         for (AluState& a : alus) {
           const celllib::Module& m = lib.module(a.module);
@@ -310,6 +319,8 @@ MfsaResult runMfsa(const dfg::Dfg& g, const celllib::CellLibrary& lib,
               pushSteps(nullptr, m, lib.module(m).areaUm2);
         }
         trace::bump(trace::Counter::MfsaCandidates, cands.size());
+        trace::bump(trace::Counter::MfsaOccupancyProbes,
+                    occ.walkProbes() - probes0);
       };
 
       // On an exact Liapunov tie, prefer the earlier step, then *reuse* —

@@ -51,6 +51,7 @@ std::string_view counterName(Counter c) {
     case Counter::VerifyCells: return "verify.cells";
     case Counter::StaPathLines: return "sta.pathLines";
     case Counter::ProveIssueAttempts: return "prove.issueAttempts";
+    case Counter::MfsaOccupancyProbes: return "mfsa.occupancyProbes";
     case Counter::kCount: break;
   }
   return "?";

@@ -63,6 +63,7 @@ enum class Counter : int {
   VerifyCells,            ///< cells + same-cell pairs of the occupancy sweep
   StaPathLines,           ///< timing path lines formatted for reported paths
   ProveIssueAttempts,     ///< prove's issue executions, chained retries included
+  MfsaOccupancyProbes,    ///< steps MFSA's per-ALU walks examined, hops included
   kCount
 };
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -12,6 +13,16 @@
 #include "trace/trace.h"
 
 namespace mframe::test {
+
+/// 64-bit FNV-1a: the goldens' and placement pins' digest of a listing.
+inline std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char ch : text) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 /// The whole text of `path` ("" when it cannot be read).
 inline std::string readFile(const std::string& path) {

@@ -189,6 +189,28 @@ TEST(Frames, FitsNoStepWhenTheOpOutlastsTheChainedClock) {
   EXPECT_FALSE(fitsNoStep(g, c, y));
 }
 
+// MFSA walks [firstStep, lastStep] in one query; nextStep walks the same
+// run one step at a time.
+TEST(Frames, DepWindowLastStepEndsTheNextStepRun) {
+  const int hi = 6;
+  for (const bool boundaryOk : {false, true})
+    for (const bool aboveOk : {false, true})
+      for (const int boundary : {0, 2, 5, 6})
+        for (const int lo : {1, 3}) {
+          FrameCalculator::DepWindow w;
+          w.boundaryStep = boundary;
+          w.boundaryOk = boundaryOk;
+          w.aboveOk = aboveOk;
+          const int first = w.firstStep(lo, hi);
+          if (first == 0) continue;
+          int last = first;
+          for (int s = first; s != 0; s = w.nextStep(s, hi)) last = s;
+          EXPECT_EQ(w.lastStep(first, hi), last)
+              << "boundary " << boundary << " ok " << boundaryOk << " above "
+              << aboveOk << " lo " << lo;
+        }
+}
+
 TEST(Frames, UnschedulableReasonNamesTheBlocker) {
   const dfg::Dfg g = test::smallDiamond();
   sched::Constraints c;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "analysis/sched_rules.h"
 #include "celllib/library_io.h"
 #include "celllib/ncr_like.h"
@@ -10,8 +12,11 @@
 #include "rtl/bus.h"
 #include "rtl/controller.h"
 #include "rtl/verify.h"
+#include "sched/timeframes.h"
 #include "trace/trace.h"
+#include "util/strings.h"
 #include "workloads/benchmarks.h"
+#include "workloads/random_dfg.h"
 
 namespace mframe::core {
 namespace {
@@ -402,6 +407,62 @@ TEST(Mfsa, MutuallyExclusiveOpsShareAlu) {
     if (r.datapath.lib->module(a.module).supports(dfg::FuType::Adder))
       ++addCapable;
   EXPECT_EQ(addCapable, 1);
+}
+
+/// FNV-1a of every op's `name step ALU` line.
+std::uint64_t placementDigest(const dfg::Dfg& g, const MfsaResult& r) {
+  std::string listing;
+  for (dfg::NodeId id : g.operations())
+    listing += util::format("%s %d %d\n", g.node(id).name.c_str(),
+                            r.datapath.schedule.stepOf(id),
+                            r.datapath.schedule.columnOf(id));
+  return test::fnv1a(listing);
+}
+
+/// A seeded layered design with `branchPercent` of its ops in conditional
+/// arms, `mulPercent` multiplications and 30% of those taking two cycles.
+dfg::Dfg conditionalDesign(int ops, int width, std::uint32_t seed,
+                           int branchPercent, int mulPercent) {
+  workloads::RandomDfgOptions ro;
+  ro.topology = workloads::DfgTopology::Layered;
+  ro.numOps = ops;
+  ro.layerWidth = width;
+  ro.seed = seed;
+  ro.branchPercent = branchPercent;
+  ro.mulPercent = mulPercent;
+  ro.twoCyclePercent = 30;
+  return workloads::randomDfg(ro);
+}
+
+// The per-ALU walk jumps over each ALU's full steps
+// (ColumnOccupancy::firstPlaceable). These digests were recorded with the
+// walk it replaced, canPlace() at every step in turn: on conditional
+// designs, whose cells of exclusive ops the walk still probes, below and
+// above kMfsaGreedyThreshold, and under a latency, where one folded cell
+// stands for many steps.
+TEST(Mfsa, PlacementMatchesTheStepWalkOnConditionalAndFoldedDesigns) {
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  const struct {
+    dfg::Dfg g;
+    int latency;
+    std::uint64_t digest;
+  } cases[] = {
+      {conditionalDesign(300, 8, 5, 40, 40), 0, 0x2f4d4ea7c292e82eull},
+      {conditionalDesign(2500, 24, 5, 40, 40), 0, 0x22662335c6ba05b5ull},
+      {workloads::ewfLike(), 3, 0xbde09f3d187ec4e0ull},
+      {conditionalDesign(300, 8, 9, 30, 25), 8, 0x4ea381bc0b808eafull},
+  };
+  for (const auto& c : cases) {
+    MfsaOptions o;
+    o.constraints.latency = c.latency;
+    o.constraints.timeSteps =
+        sched::computeTimeFrames(c.g, o.constraints)->criticalSteps() + 1;
+    const MfsaResult r = runMfsa(c.g, lib, o);
+    ASSERT_TRUE(r.feasible) << c.g.name() << ": " << r.error;
+    EXPECT_EQ(placementDigest(c.g, r), c.digest)
+        << c.g.name() << " ops " << c.g.operations().size() << " latency "
+        << c.latency;
+  }
 }
 
 }  // namespace

@@ -225,6 +225,41 @@ TEST(Scale, VerifyCellsGrowLinearlyInN) {
 }
 
 // ---------------------------------------------------------------------------
+// MFSA's per-ALU walk jumps over each ALU's full steps
+// (ColumnOccupancy::firstPlaceable), so the steps it examines at 2N ops stay
+// within 2.2x those at N. Probing every occupied step in turn grew
+// quadratically on transformer designs, whose ALUs stay nearly full across
+// the schedule.
+
+TEST(Scale, MfsaWalkGrowsLinearlyInN) {
+  const CounterScope counters;
+  const celllib::CellLibrary lib = celllib::ncrLike();
+  for (const auto topo : {workloads::DfgTopology::Conv,
+                          workloads::DfgTopology::Lstm,
+                          workloads::DfgTopology::Transformer}) {
+    std::uint64_t probes[2];
+    const int sizes[2] = {5000, 10000};
+    for (int i = 0; i < 2; ++i) {
+      workloads::RandomDfgOptions opt;
+      opt.topology = topo;
+      opt.numOps = sizes[i];
+      opt.layerWidth = 64;
+      opt.seed = 7;
+      const dfg::Dfg g = workloads::randomDfg(opt);
+      core::MfsaOptions mo;
+      mo.constraints.timeSteps =
+          sched::computeTimeFrames(g, mo.constraints)->criticalSteps();
+      const std::uint64_t p0 = counter(trace::Counter::MfsaOccupancyProbes);
+      const core::MfsaResult r = core::runMfsa(g, lib, mo);
+      ASSERT_TRUE(r.feasible) << r.error;
+      probes[i] = counter(trace::Counter::MfsaOccupancyProbes) - p0;
+    }
+    EXPECT_LE(probes[1], probes[0] * 22 / 10) << "topology " << static_cast<int>(topo);
+    EXPECT_GE(probes[1], probes[0]) << "topology " << static_cast<int>(topo);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // prove executes each issue once, plus a retry per wait of a chained read
 // on its producer's issue in the same step, so its issue attempts at 2N
 // ops stay within 2.2x those at N, plain and chained.
