@@ -97,19 +97,26 @@ void BM_ScaleMfsa(benchmark::State& state) {
   const bool countersWereOn = trace::countersEnabled();
   trace::enableCounters(true);
   const std::uint64_t c0 = trace::counterValue(trace::Counter::MfsaCommits);
+  const std::uint64_t p0 =
+      trace::counterValue(trace::Counter::MfsaOccupancyProbes);
   for (auto _ : state) {
     auto r = core::runMfsa(g, lib, o);
     benchmark::DoNotOptimize(r.feasible);
   }
+  const double perOp = static_cast<double>(state.iterations()) * ops;
   // ~1 commit per op per run proves the pass stayed restart-free linear.
   state.counters["commitsPerOp"] = static_cast<double>(
-      trace::counterValue(trace::Counter::MfsaCommits) - c0) /
-      (static_cast<double>(state.iterations()) * ops);
+      trace::counterValue(trace::Counter::MfsaCommits) - c0) / perOp;
+  // Steps the per-ALU walks examine per op: flat in N while the walk jumps
+  // over full steps, growing with N if it probed them one by one.
+  state.counters["probesPerOp"] = static_cast<double>(
+      trace::counterValue(trace::Counter::MfsaOccupancyProbes) - p0) / perOp;
   trace::enableCounters(countersWereOn);
 }
 BENCHMARK(BM_ScaleMfsa)
     ->ArgsProduct({{0, 1, 2}, {10000}})
     ->Args({0, 100000})
+    ->Args({2, 100000})
     ->Unit(benchmark::kMillisecond);
 
 // The full `mframe analyze` pipeline: dataflow lint + schedule + bind + STA.

@@ -4,10 +4,12 @@
 # ThreadSanitizer (the explorer's worker threads, tune's candidate race,
 # the audit/range parallel per-state scans and threads sharing one frozen
 # DFG are the repo's only concurrency, so the TSan tree runs just those
-# tests), and instrumented with UBSan alone for the checked-arithmetic
-# interval code — then run clang-tidy over the sources with warnings
-# promoted to errors. This is the same gauntlet the validator and lint
-# fixtures are developed against; a clean run means "safe to push".
+# tests), and instrumented with UBSan alone plus libstdc++'s assertions for
+# the checked-arithmetic interval code, the column occupancy's skip
+# pointers and the controller's readers — then run clang-tidy over the
+# sources with warnings promoted to errors. This is the same gauntlet the
+# validator and lint fixtures are developed against; a clean run means
+# "safe to push".
 #
 # Usage: tools/ci.sh [jobs]
 #
@@ -70,28 +72,34 @@ cmake --build "$repo/build-ci-tsan" -j "$jobs" --target mframe
 # abort on standard-library misuse such as a std::clamp whose bounds cross
 # (the schedulers' column budgets under a zero FU limit) or an
 # out-of-range vector index. Run the interval/dataflow and range suites,
-# where all of that arithmetic lives, the column budgets, the schedulers'
-# up-front infeasibility tests, and the controller's readers — prove, lint, audit,
-# the microcode, controller, bus, datapath and Verilog builders — which
-# index ROM rows by field handle and walk the per-step issue and latch rows.
+# where all of that arithmetic lives, the column budgets, the column
+# occupancy (Grid, ColumnOccupancy), whose skip pointers index one entry
+# past each column's last cell, the schedulers' up-front infeasibility
+# tests, and the controller's readers — prove, lint, audit, the microcode,
+# controller, bus, datapath and Verilog builders — which index ROM rows by
+# field handle and walk the per-step issue and latch rows.
 echo "==== configure build-ci-ubsan (-DMFRAME_SANITIZE=undefined -D_GLIBCXX_ASSERTIONS)"
 cmake -B "$repo/build-ci-ubsan" -S "$repo" -DMFRAME_SANITIZE=undefined \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 echo "==== build build-ci-ubsan (mframe_tests)"
 cmake --build "$repo/build-ci-ubsan" -j "$jobs" --target mframe_tests
-echo "==== interval, dataflow, range, infeasibility and controller-reader checks under UBSan"
+echo "==== interval, dataflow, range, occupancy, infeasibility and controller-reader checks under UBSan"
 "$repo/build-ci-ubsan/tests/mframe_tests" \
-  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:ColumnBudget*:Bind*:*Unschedulable*:Prove*:Microcode*:LintRtl*:Audit*:Controller*:Verilog*:Bus*:Datapath*' \
+  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:ColumnBudget*:Grid*:ColumnOccupancy*:Bind*:*Unschedulable*:Prove*:Microcode*:LintRtl*:Audit*:Controller*:Verilog*:Bus*:Datapath*' \
   --gtest_brief=1
 
 # Scale smoke in the plain tree: a 100k-op random DFG through the full
 # synth and analyze pipelines, and through synth with every checker (prove,
 # audit, range, STA), must stay in single-digit seconds (ISSUE-10
 # acceptance bound; `timeout` turns a quadratic regression into a hard
-# failure instead of a hung CI run).
+# failure instead of a hung CI run). The 100k-op transformer synth keeps
+# MFSA's per-ALU walk honest: its ALUs stay nearly full across the
+# schedule, so probing their occupied steps one by one took over 5 s.
 echo "==== 100k-op synth + analyze + checkers smoke (plain tree)"
 timeout 120 "$repo/build-ci/tools/mframe" synth \
   random:conv,ops=100000,width=64 --metrics > /dev/null
+timeout 120 "$repo/build-ci/tools/mframe" synth \
+  random:transformer,ops=100000,width=64 > /dev/null
 timeout 120 "$repo/build-ci/tools/mframe" analyze \
   random:conv,ops=100000,width=64 > /dev/null
 timeout 120 "$repo/build-ci/tools/mframe" synth \
