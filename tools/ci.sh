@@ -6,10 +6,10 @@
 # DFG are the repo's only concurrency, so the TSan tree runs just those
 # tests), and instrumented with UBSan alone plus libstdc++'s assertions for
 # the checked-arithmetic interval code, the column occupancy's skip
-# pointers and the controller's readers — then run clang-tidy over the
-# sources with warnings promoted to errors. This is the same gauntlet the
-# validator and lint fixtures are developed against; a clean run means
-# "safe to push".
+# pointers, the mux arrangement's bit-vector port indexes and the
+# controller's readers — then run clang-tidy over the sources with
+# warnings promoted to errors. This is the same gauntlet the validator and
+# lint fixtures are developed against; a clean run means "safe to push".
 #
 # Usage: tools/ci.sh [jobs]
 #
@@ -74,18 +74,20 @@ cmake --build "$repo/build-ci-tsan" -j "$jobs" --target mframe
 # out-of-range vector index. Run the interval/dataflow and range suites,
 # where all of that arithmetic lives, the column budgets, the column
 # occupancy (Grid, ColumnOccupancy), whose skip pointers index one entry
-# past each column's last cell, the schedulers' up-front infeasibility
-# tests, and the controller's readers — prove, lint, audit, the microcode,
-# controller, bus, datapath and Verilog builders — which index ROM rows by
-# field handle and walk the per-step issue and latch rows.
+# past each column's last cell, the mux arrangement (MuxOpt), whose port
+# and swap bit vectors are indexed by NodeId and grow on demand, the
+# schedulers' up-front infeasibility tests, and the controller's readers —
+# prove, lint, audit, the microcode, controller, bus, datapath and Verilog
+# builders — which index ROM rows by field handle and walk the per-step
+# issue and latch rows.
 echo "==== configure build-ci-ubsan (-DMFRAME_SANITIZE=undefined -D_GLIBCXX_ASSERTIONS)"
 cmake -B "$repo/build-ci-ubsan" -S "$repo" -DMFRAME_SANITIZE=undefined \
   -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 echo "==== build build-ci-ubsan (mframe_tests)"
 cmake --build "$repo/build-ci-ubsan" -j "$jobs" --target mframe_tests
-echo "==== interval, dataflow, range, occupancy, infeasibility and controller-reader checks under UBSan"
+echo "==== interval, dataflow, range, occupancy, mux-arrangement, infeasibility and controller-reader checks under UBSan"
 "$repo/build-ci-ubsan/tests/mframe_tests" \
-  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:ColumnBudget*:Grid*:ColumnOccupancy*:Bind*:*Unschedulable*:Prove*:Microcode*:LintRtl*:Audit*:Controller*:Verilog*:Bus*:Datapath*' \
+  --gtest_filter='Range*:Ranges*:ConstProp*:DataflowEngine*:ColumnBudget*:Grid*:ColumnOccupancy*:MuxOpt*:Bind*:*Unschedulable*:Prove*:Microcode*:LintRtl*:Audit*:Controller*:Verilog*:Bus*:Datapath*' \
   --gtest_brief=1
 
 # Scale smoke in the plain tree: a 100k-op random DFG through the full
