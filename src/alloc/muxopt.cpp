@@ -136,24 +136,18 @@ MuxDelta arrangeInputsDelta(const dfg::Dfg& g, const MuxArrangement& base,
   return d;
 }
 
-bool appendToArrangement(const dfg::Dfg& g, MuxArrangement& a, dfg::NodeId op) {
+void appendToArrangement(const dfg::Dfg& g, MuxArrangement& a, dfg::NodeId op) {
   const dfg::Node& n = g.node(op);
   if (isCommutativePair(n)) {
     // Appended last, the op is decided last in pass 2 against exactly the
     // current port sets, and no earlier decision can change — commit its
     // orientation choice directly.
     placeCommutative(a, n);
-    return true;
+    return;
   }
-  if (pinsAlreadyPinned(a, n)) {
-    // Pass-1 state unchanged, so every pass-2 decision replays identically:
-    // the op joins without moving any signal.
-    return true;
-  }
-  // Fresh pass-1 pins: commit them greedily. A from-scratch re-arrangement
-  // would have seen these pins before the batch's commutative decisions and
-  // might have re-oriented some of them, so the result is valid but not
-  // provably minimal (see the header contract).
+  // Fixed-order: the operands join their ports and the pass-1 pins, where
+  // they may already be. Fresh pins leave a valid but not provably minimal
+  // arrangement (see the header contract).
   if (n.inputs.size() >= 1) {
     addUnique(a.left, a.leftSet, n.inputs[0]);
     addUnique(a.pinnedLeft, a.pinnedLeftSet, n.inputs[0]);
@@ -162,7 +156,6 @@ bool appendToArrangement(const dfg::Dfg& g, MuxArrangement& a, dfg::NodeId op) {
     addUnique(a.right, a.rightSet, n.inputs[1]);
     addUnique(a.pinnedRight, a.pinnedRightSet, n.inputs[1]);
   }
-  return false;
 }
 
 MuxDelta appendDelta(const dfg::Dfg& g, const MuxArrangement& base,

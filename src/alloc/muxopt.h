@@ -92,20 +92,20 @@ MuxDelta arrangeInputsDelta(const dfg::Dfg& g, const MuxArrangement& base,
                             const std::vector<dfg::NodeId>& baseOps,
                             dfg::NodeId op);
 
-/// Commit `op` into `a` in place, in O(1). Returns true when the result is
-/// provably identical to re-running arrangeInputs on the extended op list —
-/// the same two exact cases arrangeInputsDelta proves (commutative append;
-/// fixed-order op whose pins are already pass-1 pinned). A fixed-order op
-/// with fresh pins is still committed (its operands join the pinned port
-/// lists) but returns false: a from-scratch re-arrangement could have
-/// re-oriented earlier commutative ops around the new pins, so the greedy
-/// result may carry slightly larger port lists. The frontier scheduler
-/// accepts that bounded drift to keep per-ALU arrangements O(1) per commit
-/// — re-arranging the whole op list per commit is quadratic in ops-per-ALU,
-/// which dominated 10^5-op synthesis runs. The arrangement stays valid
-/// either way (every op's operands are on its ports) and its recorded mux
-/// cost is always the true cost of the maintained port lists.
-bool appendToArrangement(const dfg::Dfg& g, MuxArrangement& a, dfg::NodeId op);
+/// Commit `op` into `a` in place, in O(1). The result equals re-running
+/// arrangeInputs on the extended op list in the same two cases
+/// arrangeInputsDelta proves exact (commutative append; fixed-order op
+/// whose pins are already pass-1 pinned). A fixed-order op with fresh pins
+/// is still committed (its operands join the pinned port lists), but a
+/// from-scratch re-arrangement could have re-oriented earlier commutative
+/// ops around the new pins, so the greedy result may carry larger port
+/// lists (MuxOpt.DeltaUnpinnedFixedOrderFallsBackToRebuild). The
+/// frontier scheduler accepts that drift to keep per-ALU arrangements O(1)
+/// per commit — re-arranging the whole op list per commit is quadratic in
+/// ops-per-ALU, which dominated 10^5-op synthesis runs. The arrangement
+/// stays valid either way (every op's operands are on its ports) and its
+/// recorded mux cost is always the true cost of the maintained port lists.
+void appendToArrangement(const dfg::Dfg& g, MuxArrangement& a, dfg::NodeId op);
 
 /// Port sizes appendToArrangement(g, base-copy, op) would leave behind,
 /// without mutating `base` — the O(1) probe matching the O(1) commit. Equal

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -210,8 +211,10 @@ TEST(MuxOpt, DeltaPinnedFixedOrderAddsNoSignals) {
 
 TEST(MuxOpt, DeltaUnpinnedFixedOrderFallsBackToRebuild) {
   // base = {add(y,x)} places y->L, x->R via pass 2. Appending sub(x,y) pins
-  // the opposite orientation in pass 1 and flips the add's decision: a naive
-  // increment would report 2+2 signals, the exact answer is 1+1.
+  // the opposite orientation in pass 1 and flips the add's decision: the
+  // exact answer is 1+1 signals. The O(1) append keeps the add as placed
+  // and adds x->L, y->R, 2+2 signals: the drift large-graph MFSA accepts,
+  // which its probe prices as its commit leaves it.
   dfg::Builder b("dub");
   const auto x = b.input("x");
   const auto y = b.input("y");
@@ -227,46 +230,67 @@ TEST(MuxOpt, DeltaUnpinnedFixedOrderFallsBackToRebuild) {
   const auto full = arrangeInputs(g, {a, s});
   EXPECT_EQ(d.left, full.left.size());
   EXPECT_EQ(d.right, full.right.size());
+  EXPECT_TRUE(full.isSwapped(a));
+
+  MuxArrangement grown = base;
+  const MuxDelta da = appendDelta(g, grown, s);
+  EXPECT_EQ(da.left, 2u);
+  EXPECT_EQ(da.right, 2u);
+  appendToArrangement(g, grown, s);
+  EXPECT_EQ(grown.left, (std::vector<NodeId>{y, x}));
+  EXPECT_EQ(grown.right, (std::vector<NodeId>{x, y}));
+  EXPECT_FALSE(grown.isSwapped(a));
 }
 
-TEST(MuxOpt, DeltaMatchesBatchOnSystematicOpMixes) {
-  // Drive the delta path through many mixed op sets over a shared signal
-  // pool and check every single-op append against the from-scratch
-  // arrangement. The LCG keeps the mixes varied but deterministic.
-  std::uint32_t state = 0x2545f491u;
+/// One op set of the systematic mixes: ten adds, xors, subs and nots over
+/// a shared pool of five inputs, drawn from the LCG `state` so the mixes
+/// are varied but deterministic.
+struct OpMix {
+  dfg::Dfg g;
+  std::vector<NodeId> ops;
+};
+
+OpMix opMix(int trial, std::uint32_t& state) {
   const auto rnd = [&state](std::uint32_t m) {
     state = state * 1664525u + 1013904223u;
     return (state >> 16) % m;
   };
-  for (int trial = 0; trial < 24; ++trial) {
-    dfg::Builder b("mix" + std::to_string(trial));
-    std::vector<NodeId> pool;
-    for (int i = 0; i < 5; ++i)
-      pool.push_back(b.input("x" + std::to_string(i)));
-    std::vector<NodeId> ops;
-    for (int i = 0; i < 10; ++i) {
-      const NodeId u = pool[rnd(static_cast<std::uint32_t>(pool.size()))];
-      const NodeId v = pool[rnd(static_cast<std::uint32_t>(pool.size()))];
-      const std::string name = "n" + std::to_string(i);
-      switch (rnd(4)) {
-        case 0:
-          ops.push_back(b.add(u, v, name));
-          break;
-        case 1:
-          ops.push_back(b.bxor(u, v, name));
-          break;
-        case 2:
-          ops.push_back(b.sub(u, v, name));
-          break;
-        default:
-          ops.push_back(b.bnot(u, name));
-          break;
-      }
+  dfg::Builder b("mix" + std::to_string(trial));
+  std::vector<NodeId> pool;
+  for (int i = 0; i < 5; ++i) pool.push_back(b.input("x" + std::to_string(i)));
+  std::vector<NodeId> ops;
+  for (int i = 0; i < 10; ++i) {
+    const NodeId u = pool[rnd(static_cast<std::uint32_t>(pool.size()))];
+    const NodeId v = pool[rnd(static_cast<std::uint32_t>(pool.size()))];
+    const std::string name = "n" + std::to_string(i);
+    switch (rnd(4)) {
+      case 0:
+        ops.push_back(b.add(u, v, name));
+        break;
+      case 1:
+        ops.push_back(b.bxor(u, v, name));
+        break;
+      case 2:
+        ops.push_back(b.sub(u, v, name));
+        break;
+      default:
+        ops.push_back(b.bnot(u, name));
+        break;
     }
-    b.output(ops.back(), "o");
-    const dfg::Dfg g = std::move(b).build();
+  }
+  b.output(ops.back(), "o");
+  return {std::move(b).build(), std::move(ops)};
+}
+
+TEST(MuxOpt, DeltaMatchesBatchOnSystematicOpMixes) {
+  // Drive the delta path through many mixed op sets and check every
+  // single-op append against the from-scratch arrangement.
+  std::uint32_t state = 0x2545f491u;
+  for (int trial = 0; trial < 24; ++trial) {
+    const OpMix mix = opMix(trial, state);
+    const dfg::Dfg& g = mix.g;
     std::vector<NodeId> prefix;
-    for (NodeId next : ops) {
+    for (NodeId next : mix.ops) {
       const MuxArrangement base = arrangeInputs(g, prefix);
       const MuxDelta d = arrangeInputsDelta(g, base, prefix, next);
       prefix.push_back(next);
@@ -280,6 +304,63 @@ TEST(MuxOpt, DeltaMatchesBatchOnSystematicOpMixes) {
       }
     }
   }
+}
+
+TEST(MuxOpt, AppendProbeMatchesItsCommitOnSystematicOpMixes) {
+  // Grow one arrangement op by op over the systematic mixes. Each
+  // appendDelta probe must equal the port sizes and orientation its commit
+  // leaves, and every op appended so far must read its operands through
+  // its own ports. While no fixed-order op has followed a commutative one
+  // (so in particular while only commutative ops have been appended), the
+  // append order is arrangeInputs' own pass order and the arrangement must
+  // equal it exactly.
+  const auto onList = [](const std::vector<NodeId>& list, NodeId x) {
+    return std::find(list.begin(), list.end(), x) != list.end();
+  };
+  int batchOrderPrefixes = 0;
+  int commutativeOnlyPrefixes = 0;
+  std::uint32_t state = 0x2545f491u;
+  for (int trial = 0; trial < 24; ++trial) {
+    const OpMix mix = opMix(trial, state);
+    const dfg::Dfg& g = mix.g;
+    MuxArrangement arr;
+    std::vector<NodeId> prefix;
+    bool sawCommutative = false;
+    bool sawFixedOrder = false;
+    bool batchOrder = true;
+    for (NodeId next : mix.ops) {
+      const std::string where = g.name() + " appending " + g.node(next).name;
+      const MuxDelta d = appendDelta(g, arr, next);
+      appendToArrangement(g, arr, next);
+      prefix.push_back(next);
+      ASSERT_EQ(d.left, arr.left.size()) << where;
+      ASSERT_EQ(d.right, arr.right.size()) << where;
+      EXPECT_EQ(d.swapped, arr.isSwapped(next)) << where;
+      for (NodeId op : prefix) {
+        const dfg::Node& n = g.node(op);
+        const MuxArrangement::Ports p = arr.portSignals(n);
+        EXPECT_TRUE(onList(arr.left, p.left)) << where << ": " << n.name;
+        EXPECT_TRUE(p.right == dfg::kNoNode || onList(arr.right, p.right))
+            << where << ": " << n.name;
+      }
+      if (dfg::isCommutative(g.node(next).kind)) {
+        sawCommutative = true;
+      } else {
+        sawFixedOrder = true;
+        batchOrder = batchOrder && !sawCommutative;
+      }
+      if (!batchOrder) continue;
+      ++batchOrderPrefixes;
+      if (!sawFixedOrder) ++commutativeOnlyPrefixes;
+      const MuxArrangement full = arrangeInputs(g, prefix);
+      EXPECT_EQ(arr.left, full.left) << where;
+      EXPECT_EQ(arr.right, full.right) << where;
+      for (NodeId op : prefix)
+        EXPECT_EQ(arr.isSwapped(op), full.isSwapped(op)) << where;
+    }
+  }
+  EXPECT_GT(commutativeOnlyPrefixes, 10);
+  EXPECT_GT(batchOrderPrefixes, commutativeOnlyPrefixes + 10);
 }
 
 }  // namespace
